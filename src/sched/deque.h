@@ -4,13 +4,10 @@
 // (FIFO — the oldest task, the one the owner is furthest from reaching).
 //
 // One mutex per deque, not one per pool: the owner and at most one thief
-// contend on a single worker's queue, never the whole pool. This is the
-// `MEEK_SCHED=mutex` backend — the original implementation, kept as the
-// A/B baseline and escape hatch for sched::pool's lock-free hot path
-// (chase_lev.h + mpmc_ring.h), which replaced it once fine-grained tasks
-// (serve lines, search probes) made one lock per push/pop/steal the
-// throughput ceiling. Same contract either way: scheduling order may vary
-// run to run; results are keyed by submission index.
+// contend on a single worker's queue, never the whole pool. Real jobs run
+// 0.5–80 ms, so a lock per push/pop/steal is far below the noise end to
+// end. Scheduling order may vary run to run; results are keyed by
+// submission index.
 #pragma once
 
 #include <deque>
@@ -50,13 +47,8 @@ public:
         return true;
     }
 
-    std::size_t size() const {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return tasks_.size();
-    }
-
 private:
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::deque<task> tasks_;
 };
 
