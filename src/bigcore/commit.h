@@ -38,6 +38,15 @@ public:
 
     // The application thread halted (end of workload) at `at`.
     virtual void on_halt(cycle_t at) { (void)at; }
+
+    // Early stop: once requested, the core's commit loop exits after the
+    // instruction it is committing, as if a run limit had been reached. The
+    // flag is sticky; the owner decides what (if anything) follows the stop.
+    void request_stop() { stop_requested_ = true; }
+    bool stop_requested() const { return stop_requested_; }
+
+private:
+    bool stop_requested_ = false;
 };
 
 }  // namespace meek

@@ -7,7 +7,7 @@
 namespace meek {
 
 ooo_core::ooo_core(const big_core_config& cfg, functional_memory& memory)
-    : cfg_(cfg), memory_(memory), hierarchy_(cfg), bpred_(cfg.bpred), fus_(cfg) {
+    : cfg_(cfg), memory_(&memory), hierarchy_(cfg), bpred_(cfg.bpred), fus_(cfg) {
     rob_.reset(cfg.rob_entries);
     iq_.reset(cfg.iq_entries);
     ldq_.reset(cfg.ldq_entries);
@@ -16,16 +16,20 @@ ooo_core::ooo_core(const big_core_config& cfg, functional_memory& memory)
     fp_prf_.reset(std::max<u32>(8, cfg.phys_fp_regs - k_num_arch_regs));
 }
 
+ooo_core::ooo_core(const ooo_core& other, functional_memory& memory) : ooo_core(other) {
+    memory_ = &memory;
+}
+
 void ooo_core::load_program(const program& prog) {
     prog_ = &prog;
     for (const data_blob& blob : prog.data) {
-        memory_.write_block(blob.base, blob.bytes.data(), blob.bytes.size());
+        memory_->write_block(blob.base, blob.bytes.data(), blob.bytes.size());
     }
     // Mirror the text segment into memory so the checker cores fetch the same
     // bytes the big core runs.
     addr_t pc = prog.text_base;
     for (const instr& ins : prog.text) {
-        memory_.write(pc, 8, encode(ins));
+        memory_->write(pc, 8, encode(ins));
         pc += k_instr_bytes;
     }
     state_.pc = prog.entry;
@@ -33,14 +37,16 @@ void ooo_core::load_program(const program& prog) {
     halted_ = false;
 }
 
-cycle_t ooo_core::fetch_one(addr_t pc, bool after_redirect) {
+cycle_t ooo_core::fetch_one(addr_t pc) {
     cycle_t candidate = next_fetch_cycle_;
     if (fetched_this_cycle_ >= cfg_.fetch_width) {
         ++candidate;
         fetched_this_cycle_ = 0;
     }
     const addr_t line = pc / cfg_.l1i.line_bytes;
-    if (line != last_fetch_line_ || after_redirect) {
+    // Every redirect invalidates last_fetch_line_, so the first fetch after
+    // one always pays an I-cache access.
+    if (line != last_fetch_line_) {
         hierarchy_access access = hierarchy_.inst_access(pc, candidate);
         while (!access.accepted) {
             ++candidate;
@@ -75,11 +81,11 @@ run_result ooo_core::run(const run_limits& limits, commit_sink* sink) {
     run_result result;
     if (prog_ == nullptr) return result;
 
-    bool after_redirect = false;
     u64 executed = 0;
 
     while (!halted_ && executed < limits.max_instructions &&
-           last_commit_cycle_ < limits.max_cycles) {
+           last_commit_cycle_ < limits.max_cycles &&
+           (sink == nullptr || !sink->stop_requested())) {
         const addr_t pc = state_.pc;
         if (!prog_->contains(pc)) {
             halted_ = true;  // fell off the text segment: treat as termination
@@ -89,8 +95,7 @@ run_result ooo_core::run(const run_limits& limits, commit_sink* sink) {
         const op_class klass = ins.klass();
 
         // ---- Fetch ----
-        const cycle_t fetch_cycle = fetch_one(pc, after_redirect);
-        if (after_redirect) after_redirect = false;
+        const cycle_t fetch_cycle = fetch_one(pc);
 
         // ---- Dispatch: width + structure constraints ----
         cycle_t dispatch = std::max(fetch_cycle + cfg_.front_end_stages, dispatch_cycle_);
@@ -202,13 +207,13 @@ run_result ooo_core::run(const run_limits& limits, commit_sink* sink) {
                 }
                 complete = access.complete_at;
             }
-            const u64 raw = memory_.read(lo, out.mem->size);
+            const u64 raw = memory_->read(lo, out.mem->size);
             record.load_data = raw;
             record.load_parity = parity64(raw);
             out.reg_write = true;
             out.rd_value = load_result(ins.op, raw);
         } else if (out.mem && out.mem->is_store) {
-            memory_.write(out.mem->addr, out.mem->size, out.mem->store_data);
+            memory_->write(out.mem->addr, out.mem->size, out.mem->store_data);
         }
 
         if (is_csr) {
@@ -298,7 +303,6 @@ run_result ooo_core::run(const run_limits& limits, commit_sink* sink) {
             next_fetch_cycle_ = actual + outcome.kernel_cycles;
             fetched_this_cycle_ = 0;
             last_fetch_line_ = ~addr_t{0};
-            after_redirect = true;
         } else if (mispredicted) {
             const cycle_t redirect_at = complete + 2;
             stats_.stall_redirect += redirect_at > next_fetch_cycle_
@@ -307,7 +311,6 @@ run_result ooo_core::run(const run_limits& limits, commit_sink* sink) {
             next_fetch_cycle_ = std::max(next_fetch_cycle_, redirect_at);
             fetched_this_cycle_ = 0;
             last_fetch_line_ = ~addr_t{0};
-            after_redirect = true;
         } else if (out.next_pc != pc + k_instr_bytes) {
             // Correctly-predicted taken control flow still ends the fetch group.
             next_fetch_cycle_ = std::max(next_fetch_cycle_, fetch_cycle + 1);

@@ -73,11 +73,20 @@ class ooo_core {
 public:
     ooo_core(const big_core_config& cfg, functional_memory& memory);
 
+    // Snapshot copy: every pipeline, cache, predictor and architectural bit
+    // of `other`, bound to `memory` (the copy of `other`'s memory) instead
+    // of the original's. The trap handler is copied as is.
+    ooo_core(const ooo_core& other, functional_memory& memory);
+    ooo_core& operator=(const ooo_core&) = delete;
+
     // Installs the program: data blobs are written to memory, PC moves to the
     // entry point, the stack pointer (x2) to the default stack top.
     void load_program(const program& prog);
 
-    // Runs until halt or a limit; resumable (state persists across calls).
+    // Runs until halt, a limit, or a stop requested through `sink`;
+    // resumable (state persists across calls, so a run split into several
+    // calls commits exactly what one call would). `max_instructions` counts
+    // the instructions of this call.
     run_result run(const run_limits& limits, commit_sink* sink = nullptr);
 
     arch_state& state() { return state_; }
@@ -98,6 +107,8 @@ public:
     void set_trap_handler(trap_handler handler) { trap_handler_ = std::move(handler); }
 
 private:
+    ooo_core(const ooo_core&) = default;
+
     // Ring of timestamps modeling a structure with `size` entries: entry i
     // can be reused once entry (i - size) has released at its stored time.
     class occupancy_ring {
@@ -128,11 +139,11 @@ private:
         cycle_t commit_at = 0;
     };
 
-    cycle_t fetch_one(addr_t pc, bool after_redirect);
+    cycle_t fetch_one(addr_t pc);
     u64 csr_read_value(u16 addr, cycle_t at);
 
     big_core_config cfg_;
-    functional_memory& memory_;
+    functional_memory* memory_;
     memory_hierarchy hierarchy_;
     branch_predictor bpred_;
     fu_pool fus_;

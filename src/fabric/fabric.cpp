@@ -23,6 +23,11 @@ fabric_model::fabric_model(const fabric_config& cfg, u32 commit_paths,
     dest_queues_.assign(num_little_cores, bounded_fifo<in_flight>(64));
 }
 
+fabric_model::fabric_model(const fabric_model& other, deliver_ref deliver)
+    : fabric_model(other) {
+    set_deliver_ref(deliver);
+}
+
 cycle_t fabric_model::hop_latency(u32 core) const {
     if (cfg_.kind == fabric_kind::axi_interconnect) {
         return 4;  // interconnect pipeline + address/data phases
@@ -75,17 +80,19 @@ cycle_t fabric_model::next_event_lo() const {
     return next;
 }
 
-bounded_fifo<fabric_model::staged_packet>* fabric_model::oldest_head(cycle_t now_lo) {
-    bounded_fifo<staged_packet>* best = nullptr;
+u32 fabric_model::oldest_head(cycle_t now_lo) const {
+    u32 best = k_no_channel;
     u64 best_order = ~u64{0};
-    for (dc_buffer& buf : buffers_) {
-        for (auto* fifo : {&buf.status, &buf.runtime}) {
-            if (fifo->empty()) continue;
-            const staged_packet& head = fifo->front();
+    for (u32 b = 0; b < buffers_.size(); ++b) {
+        const dc_buffer& buf = buffers_[b];
+        for (u32 ch = 0; ch < 2; ++ch) {
+            const auto& fifo = ch == 0 ? buf.status : buf.runtime;
+            if (fifo.empty()) continue;
+            const staged_packet& head = fifo.front();
             if (head.ready_lo > now_lo) continue;
             if (head.order < best_order) {
                 best_order = head.order;
-                best = fifo;
+                best = 2 * b + ch;
             }
         }
     }
@@ -115,9 +122,10 @@ void fabric_model::tick_low(cycle_t now_lo) {
     const u32 slots = cfg_.kind == fabric_kind::f2 ? cfg_.f2_packets_per_cycle : 1;
     bool any = false;
     for (u32 s = 0; s < slots; ++s) {
-        bounded_fifo<staged_packet>* fifo = oldest_head(now_lo);
-        if (fifo == nullptr) break;
-        staged_packet& head = fifo->front();
+        const u32 src = oldest_head(now_lo);
+        if (src == k_no_channel) break;
+        bounded_fifo<staged_packet>& fifo = channel(src);
+        staged_packet& head = fifo.front();
 
         if (cfg_.kind == fabric_kind::f2) {
             // 1-to-N multicast: one transmission reaches every destination.
@@ -139,7 +147,7 @@ void fabric_model::tick_low(cycle_t now_lo) {
             }
             if (delivered > 1) stats_.multicast_merged += delivered - 1;
             if (head.remaining == 0 && delivered > 0) {
-                fifo->pop();
+                fifo.pop();
                 --staged_count_;
             }
             if (delivered == 0) break;  // all destinations blocked
@@ -157,13 +165,13 @@ void fabric_model::tick_low(cycle_t now_lo) {
             ++inflight_count_;
             head.remaining &= static_cast<dest_mask_t>(~(1u << core));
             if (head.remaining == 0) {
-                fifo->pop();
+                fifo.pop();
                 --staged_count_;
             }
             // Alternate grants amortize the handshake over short bursts.
-            if (fifo != axi_last_src_) axi_rearb_ = !axi_rearb_was_;
+            if (src != axi_last_src_) axi_rearb_ = !axi_rearb_was_;
             axi_rearb_was_ = axi_rearb_;
-            axi_last_src_ = fifo;
+            axi_last_src_ = src;
         }
         ++stats_.transmissions;
         any = true;

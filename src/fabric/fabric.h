@@ -43,6 +43,11 @@ public:
 
     fabric_model(const fabric_config& cfg, u32 commit_paths, u32 num_little_cores);
 
+    // Snapshot copy of `other` (buffered and in-flight packets, arbitration
+    // state, stats) delivering into `deliver` instead of the original's sink.
+    fabric_model(const fabric_model& other, deliver_ref deliver);
+    fabric_model& operator=(const fabric_model&) = delete;
+
     // Owning sink for arbitrary callables (tests, instrumentation). The
     // delivery hot path always dispatches through a function_ref, so this
     // costs one extra indirection only when actually attached.
@@ -84,6 +89,8 @@ public:
     cycle_t next_event_lo() const;
 
 private:
+    fabric_model(const fabric_model&) = default;
+
     struct staged_packet {
         fwd_packet packet;
         u64 order = 0;
@@ -104,7 +111,14 @@ private:
 
     // Per-core NoC hop latency: Manhattan distance in the grid placement.
     cycle_t hop_latency(u32 core) const;
-    bounded_fifo<staged_packet>* oldest_head(cycle_t now_lo);
+    // Channel `c` of the DC-Buffers: buffer c / 2, status when c is even,
+    // run-time when odd. oldest_head returns the channel whose ready head
+    // packet is oldest in global order, or k_no_channel.
+    bounded_fifo<staged_packet>& channel(u32 c) {
+        dc_buffer& buf = buffers_[c / 2];
+        return c % 2 == 0 ? buf.status : buf.runtime;
+    }
+    u32 oldest_head(cycle_t now_lo) const;
 
     fabric_config cfg_;
     u32 num_cores_;
@@ -118,8 +132,11 @@ private:
     std::size_t inflight_count_ = 0;  // packets in per-core landing queues
 
     // AXI arbitration: switching the granted master/channel between
-    // transactions costs a handshake cycle (AR/AW re-arbitration).
-    const void* axi_last_src_ = nullptr;
+    // transactions costs a handshake cycle (AR/AW re-arbitration). Channels
+    // are named by index (see oldest_head) so a copied fabric compares
+    // against its own buffers, not the original's.
+    static constexpr u32 k_no_channel = ~u32{0};
+    u32 axi_last_src_ = k_no_channel;
     bool axi_rearb_ = false;
     bool axi_rearb_was_ = false;
 };

@@ -28,7 +28,8 @@ bool eligible(packet_kind kind, fault_target target) {
 
 // Instruction budget for one shard: warmup, then each fault needs its gap
 // plus a detection window; the fixed tail mirrors how the benches size their
-// programs. Depends only on the shard's config, never on thread count.
+// programs. An upper bound — a shard stops as soon as its last fault is
+// resolved. Depends only on the shard's config, never on thread count.
 run_limits shard_limits(const fault_campaign_config& shard_cfg) {
     run_limits limits;
     limits.max_instructions =
@@ -38,23 +39,26 @@ run_limits shard_limits(const fault_campaign_config& shard_cfg) {
     return limits;
 }
 
-// One sequential injection run, bounded by `limits`. `warmup` delays the
-// first eligible injection (zero for the serial campaign, which reaches
-// steady state naturally; shards use it to skip the cold-start window).
-campaign_result run_campaign_once(const soc_config& soc_cfg, const program& prog,
-                                  const fault_campaign_config& cfg,
+// One sequential injection run on `soc`, which has begun its run and may
+// already be advanced through a fault-free prefix. Advances it to `limits`
+// and finishes it. `warmup` delays the first eligible injection (zero for
+// the serial campaign, which reaches steady state naturally; shards use it
+// to skip the cold-start window). The run stops as soon as the last fault
+// is resolved: from then on no event can add or change a record.
+campaign_result run_campaign_once(meek_soc& soc, const fault_campaign_config& cfg,
                                   const run_limits& limits, u64 warmup) {
     campaign_result result;
     rng r(cfg.seed);
-
-    meek_soc soc(soc_cfg);
-    soc.load_program(prog);
-    const clock_domain big_clock(soc_cfg.big.freq_mhz);
+    const clock_domain big_clock(soc.config().big.freq_mhz);
+    const u64 start_instructions = soc.big_core().stats().instructions;
 
     bool outstanding = false;
     fault_record current;
     u64 next_eligible_seq = warmup + cfg.gap_instructions;
     u64 injected = 0;
+    auto stop_when_resolved = [&] {
+        if (injected == cfg.num_faults && !outstanding) soc.request_stop();
+    };
 
     soc.set_packet_hook([&](fwd_packet& pkt) {
         // Horizon check: give up on a fault nothing ever detected.
@@ -64,6 +68,7 @@ campaign_result run_campaign_once(const soc_config& soc_cfg, const program& prog
             ++result.masked;
             outstanding = false;
             next_eligible_seq = pkt.seq + cfg.gap_instructions;
+            stop_when_resolved();
         }
         if (outstanding || injected >= cfg.num_faults) return;
         if (pkt.seq < next_eligible_seq) return;
@@ -104,9 +109,12 @@ campaign_result run_campaign_once(const soc_config& soc_cfg, const program& prog
             current.detect_big_cycle - current.inject_big_cycle));
         outstanding = false;
         next_eligible_seq = current.inject_seq + cfg.gap_instructions;
+        stop_when_resolved();
     });
 
-    soc.run(limits);
+    soc.advance(limits);
+    soc.finish();
+    result.simulated_instructions = soc.big_core().stats().instructions - start_instructions;
 
     if (outstanding) {
         current.detected = false;
@@ -129,32 +137,34 @@ void note_shard_metrics(const fault_campaign_config& cfg,
     obs::metrics_registry& m = *cfg.metrics;
     m.get_counter("campaign.faults_injected").add(result.detected + result.masked);
     m.get_counter("campaign.records_emitted").add(result.faults.size());
+    m.get_counter("campaign.sim_instructions").add(result.simulated_instructions);
     m.get_counter("campaign.shards_completed").add(1);
     if (resumed) m.get_counter("campaign.shards_resumed").add(1);
 }
 
-// Run one shard, satisfying it from a checkpoint when the directory holds a
-// valid one for this exact shard config and system context.
-campaign_result run_or_resume_shard(const soc_config& soc_cfg, const program& prog,
-                                    const fault_campaign_config& shard_cfg,
-                                    std::size_t shard_index, u64 context,
-                                    const run_limits& limits, u64 warmup,
-                                    const std::string& path) {
-    const bool checkpointing = !path.empty();
-    if (checkpointing) {
-        if (std::optional<campaign_result> loaded = load_shard_checkpoint(
-                path, shard_cfg, shard_index, context, soc_cfg.big.freq_mhz)) {
-            loaded->resumed_shards = 1;
-            note_shard_metrics(shard_cfg, *loaded, /*resumed=*/true);
-            return *std::move(loaded);
-        }
+// A finished shard satisfied from `path`, when it holds a valid checkpoint
+// for this exact shard config and system context; nullopt otherwise.
+std::optional<campaign_result> resume_shard(const soc_config& soc_cfg,
+                                            const fault_campaign_config& shard_cfg,
+                                            std::size_t shard_index, u64 context,
+                                            const std::string& path) {
+    if (path.empty()) return std::nullopt;
+    std::optional<campaign_result> loaded = load_shard_checkpoint(
+        path, shard_cfg, shard_index, context, soc_cfg.big.freq_mhz);
+    if (loaded) {
+        loaded->resumed_shards = 1;
+        note_shard_metrics(shard_cfg, *loaded, /*resumed=*/true);
     }
-    campaign_result result = run_campaign_once(soc_cfg, prog, shard_cfg, limits, warmup);
-    if (checkpointing) {
-        save_shard_checkpoint(path, shard_cfg, shard_index, context, result);
-    }
+    return loaded;
+}
+
+// Book-keeping for a freshly simulated shard: checkpoint it (when enabled)
+// and count it.
+void note_simulated_shard(const fault_campaign_config& shard_cfg,
+                          std::size_t shard_index, u64 context,
+                          const std::string& path, const campaign_result& result) {
+    if (!path.empty()) save_shard_checkpoint(path, shard_cfg, shard_index, context, result);
     note_shard_metrics(shard_cfg, result, /*resumed=*/false);
-    return result;
 }
 
 }  // namespace
@@ -185,66 +195,97 @@ u64 campaign_context_fingerprint(const soc_config& soc_cfg, const program& prog)
 
 campaign_result run_fault_campaign(const soc_config& soc_cfg, const program& prog,
                                    const fault_campaign_config& cfg) {
-    if (cfg.checkpoint_dir.empty()) {
-        campaign_result result =
-            run_campaign_once(soc_cfg, prog, cfg, run_limits{}, /*warmup=*/0);
-        note_shard_metrics(cfg, result, /*resumed=*/false);
-        return result;
-    }
+    if (cfg.num_faults == 0) return {};
     // The serial campaign is one monolithic "shard" with its own file name:
     // it must never satisfy (or be satisfied by) an executor shard, whose
     // seed derivation and instruction budget differ.
-    return run_or_resume_shard(soc_cfg, prog, cfg, /*shard_index=*/0,
-                               campaign_context_fingerprint(soc_cfg, prog),
-                               run_limits{}, /*warmup=*/0,
-                               cfg.checkpoint_dir + "/serial.ckpt");
+    const std::string path =
+        cfg.checkpoint_dir.empty() ? std::string() : cfg.checkpoint_dir + "/serial.ckpt";
+    const u64 context = path.empty() ? 0 : campaign_context_fingerprint(soc_cfg, prog);
+    if (std::optional<campaign_result> loaded =
+            resume_shard(soc_cfg, cfg, /*shard_index=*/0, context, path)) {
+        return *std::move(loaded);
+    }
+    meek_soc soc(soc_cfg);
+    soc.load_program(prog);
+    soc.begin();
+    campaign_result result = run_campaign_once(soc, cfg, run_limits{}, /*warmup=*/0);
+    note_simulated_shard(cfg, /*shard_index=*/0, context, path, result);
+    return result;
 }
 
 campaign_result run_fault_campaign(const soc_config& soc_cfg, const program& prog,
                                    const fault_campaign_config& cfg,
                                    sim::executor& ex) {
+    if (cfg.num_faults == 0) return {};
     const u32 per_shard = std::max<u32>(1, cfg.faults_per_shard);
     const std::size_t shards = (cfg.num_faults + per_shard - 1) / per_shard;
     const u64 context = cfg.checkpoint_dir.empty()
                             ? 0
                             : campaign_context_fingerprint(soc_cfg, prog);
-    auto ckpt_path = [&cfg](std::size_t shard_index) {
+    auto shard_config = [&](std::size_t index) {
+        fault_campaign_config shard_cfg = cfg;
+        shard_cfg.seed = sim::derive_stream_seed(cfg.seed, index);
+        const u32 first = static_cast<u32>(index) * per_shard;
+        shard_cfg.num_faults = std::min(per_shard, cfg.num_faults - first);
+        return shard_cfg;
+    };
+    auto ckpt_path = [&cfg](std::size_t index) {
         return cfg.checkpoint_dir.empty()
                    ? std::string()
-                   : shard_checkpoint_path(cfg.checkpoint_dir, shard_index);
+                   : shard_checkpoint_path(cfg.checkpoint_dir, index);
     };
 
-    if (shards <= 1) {
-        // A single shard still goes through the derived stream so the result
-        // is independent of whether the executor path was taken.
-        fault_campaign_config shard_cfg = cfg;
-        shard_cfg.seed = sim::derive_stream_seed(cfg.seed, 0);
-        return run_or_resume_shard(soc_cfg, prog, shard_cfg, /*shard_index=*/0,
-                                   context, shard_limits(shard_cfg),
-                                   cfg.shard_warmup_instructions, ckpt_path(0));
+    // Checkpointed shards first (plain file reads), so a fully checkpointed
+    // campaign simulates nothing at all.
+    std::vector<campaign_result> partials(shards);
+    std::vector<std::size_t> todo;
+    for (std::size_t i = 0; i < shards; ++i) {
+        if (std::optional<campaign_result> loaded =
+                resume_shard(soc_cfg, shard_config(i), i, context, ckpt_path(i))) {
+            partials[i] = *std::move(loaded);
+        } else {
+            todo.push_back(i);
+        }
     }
 
-    // Hint shard costs by fault count: every shard but the last carries
-    // `per_shard` faults, so the short tail shard is submitted last.
-    std::vector<double> shard_costs;
-    shard_costs.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i) {
-        const u32 first = static_cast<u32>(i) * per_shard;
-        shard_costs.push_back(std::min(per_shard, cfg.num_faults - first));
+    if (!todo.empty()) {
+        // Every shard is bit-identical up to the first packet it may corrupt,
+        // seq == warmup + gap: no rng draw happens before it, and the shards
+        // differ only in seed and budget. So that prefix is simulated once,
+        // and each shard forks a copy of the SoC (every budget exceeds it).
+        meek_soc prefix(soc_cfg);
+        prefix.load_program(prog);
+        prefix.begin();
+        run_limits prefix_limits;
+        prefix_limits.max_instructions =
+            cfg.shard_warmup_instructions + cfg.gap_instructions;
+        prefix.advance(prefix_limits);
+        const u64 prefix_instructions = prefix.big_core().stats().instructions;
+
+        // Hint shard costs by fault count: every shard but the last carries
+        // `per_shard` faults, so the short tail shard is submitted last.
+        std::vector<double> shard_costs;
+        shard_costs.reserve(todo.size());
+        for (const std::size_t i : todo) shard_costs.push_back(shard_config(i).num_faults);
+        std::vector<campaign_result> simulated = ex.run_indexed(
+            todo.size(), cfg.seed,
+            [&](const sim::job_context& ctx) {
+                const std::size_t index = todo[ctx.index];
+                const fault_campaign_config shard_cfg = shard_config(index);
+                meek_soc soc(prefix);
+                campaign_result result =
+                    run_campaign_once(soc, shard_cfg, shard_limits(shard_cfg),
+                                      cfg.shard_warmup_instructions);
+                // The first simulated shard carries the shared prefix, so the
+                // merged count has it exactly once.
+                if (ctx.index == 0) result.simulated_instructions += prefix_instructions;
+                note_simulated_shard(shard_cfg, index, context, ckpt_path(index), result);
+                return result;
+            },
+            shard_costs);
+        for (std::size_t k = 0; k < todo.size(); ++k) partials[todo[k]] = std::move(simulated[k]);
     }
-    std::vector<campaign_result> partials = ex.run_indexed(
-        shards, cfg.seed,
-        [&](const sim::job_context& ctx) {
-            fault_campaign_config shard_cfg = cfg;
-            shard_cfg.seed = ctx.stream_seed;
-            const u32 first = static_cast<u32>(ctx.index) * per_shard;
-            shard_cfg.num_faults = std::min(per_shard, cfg.num_faults - first);
-            return run_or_resume_shard(soc_cfg, prog, shard_cfg, ctx.index,
-                                       context, shard_limits(shard_cfg),
-                                       cfg.shard_warmup_instructions,
-                                       ckpt_path(ctx.index));
-        },
-        shard_costs);
 
     campaign_result merged;
     for (campaign_result& p : partials) {
@@ -253,6 +294,7 @@ campaign_result run_fault_campaign(const soc_config& soc_cfg, const program& pro
         merged.masked += p.masked;
         merged.latency_ns.merge(p.latency_ns);
         merged.resumed_shards += p.resumed_shards;
+        merged.simulated_instructions += p.simulated_instructions;
     }
     return merged;
 }

@@ -8,6 +8,8 @@
 // One fault is outstanding at a time (as in the paper's sequential random
 // injections); a fault undetected within the horizon is recorded as masked
 // (e.g. a corrupted load value that dies before reaching any store or RCP).
+// A campaign stops simulating as soon as its last fault is resolved —
+// detected or masked — since nothing after that can change a record.
 #pragma once
 
 #include <optional>
@@ -55,11 +57,13 @@ struct fault_campaign_config {
     // pure function of this config — never of the thread count — so merged
     // records are bit-identical whether 1 or 16 workers ran the shards.
     //
-    // Each shard replays the program from the start (simulation cannot be
-    // fast-forwarded), so shards sample the workload's steady-state loop
-    // region rather than disjoint stream offsets; `shard_warmup_instructions`
-    // keeps every shard's injections out of the cold-cache startup window the
-    // serial campaign only traverses once.
+    // Every shard covers the program from its start, so shards sample the
+    // workload's steady-state loop region rather than disjoint stream
+    // offsets; `shard_warmup_instructions` keeps every shard's injections out
+    // of the cold-cache startup window the serial campaign only traverses
+    // once. Up to the first packet a shard may corrupt (seq == warmup + gap)
+    // all shards are identical, so that fault-free prefix is simulated once
+    // and each shard continues from a copy of the SoC.
     u32 faults_per_shard = 50;
     u64 shard_warmup_instructions = 20'000;
 
@@ -108,6 +112,10 @@ struct campaign_result {
     u64 masked = 0;
     running_stat latency_ns;  // over detected faults
     u64 resumed_shards = 0;   // shards satisfied from checkpoints, not simulation
+    // Big-core instructions actually simulated to produce these records,
+    // summed over shards, with the prefix the shards share counted once
+    // (zero for checkpointed shards).
+    u64 simulated_instructions = 0;
 
     double detection_rate() const {
         const u64 total = detected + masked;
@@ -117,15 +125,16 @@ struct campaign_result {
 
 // Runs a fresh MEEK SoC over `prog` injecting per `cfg`. The program must be
 // long enough to host the requested faults; the campaign stops at program
-// end regardless.
+// end regardless. Zero faults return an empty result without simulating.
 campaign_result run_fault_campaign(const soc_config& soc_cfg, const program& prog,
                                    const fault_campaign_config& cfg);
 
 // Parallel campaign: fans fixed-size fault shards (see `faults_per_shard`)
-// out across `ex`'s workers; each shard runs its own SoC over `prog` with a
-// per-shard rng stream and an instruction budget sized to its fault count,
-// and the per-shard records/accumulators are merged in shard order at join.
-// Deterministic at any thread count for a given config.
+// out across `ex`'s workers; each shard forks its own SoC from the shared
+// fault-free prefix, with a per-shard rng stream and an instruction budget
+// sized to its fault count (an upper bound: the shard stops at its last
+// resolved fault), and the per-shard records/accumulators are merged in
+// shard order at join. Deterministic at any thread count for a given config.
 campaign_result run_fault_campaign(const soc_config& soc_cfg, const program& prog,
                                    const fault_campaign_config& cfg,
                                    sim::executor& ex);

@@ -17,10 +17,17 @@ little_core::little_core(const little_core_config& cfg, u32 core_id,
                          functional_memory& memory)
     : cfg_(cfg),
       core_id_(core_id),
-      memory_(memory),
+      memory_(&memory),
       l1i_(cfg.l1i),
       l1d_(cfg.l1d),
       lsl_(cfg.lsl_entries()) {}
+
+little_core::little_core(const little_core& other, functional_memory& memory,
+                         const u64* watermark)
+    : little_core(other) {
+    memory_ = &memory;
+    watermark_ = watermark;
+}
 
 u32 little_core::op_latency(op_class c) const {
     switch (c) {
@@ -437,9 +444,9 @@ little_core::app_run_result little_core::run_application(u64 max_instructions) {
                 extra_latency = access.complete_at - now;
             }
             if (out.mem->is_store) {
-                memory_.write(out.mem->addr, out.mem->size, out.mem->store_data);
+                memory_->write(out.mem->addr, out.mem->size, out.mem->store_data);
             } else {
-                const u64 raw = memory_.read(out.mem->addr, out.mem->size);
+                const u64 raw = memory_->read(out.mem->addr, out.mem->size);
                 out.reg_write = true;
                 out.rd_value = load_result(ins.op, raw);
             }
@@ -452,7 +459,7 @@ little_core::app_run_result little_core::run_application(u64 max_instructions) {
                 const addr_t base = in.rs1;
                 const arch_snapshot snap = arch_snapshot::capture(state_);
                 for (u32 w = 0; w < k_snapshot_words; ++w) {
-                    memory_.write(base + 8 * w, 8, snapshot_word(snap, w));
+                    memory_->write(base + 8 * w, 8, snapshot_word(snap, w));
                 }
                 extra_latency += k_snapshot_words / 2;
                 break;
@@ -466,7 +473,7 @@ little_core::app_run_result little_core::run_application(u64 max_instructions) {
                 } else {
                     const addr_t base = in.rs1;
                     for (u32 w = 0; w < k_snapshot_words; ++w) {
-                        set_snapshot_word(snap, w, memory_.read(base + 8 * w, 8));
+                        set_snapshot_word(snap, w, memory_->read(base + 8 * w, 8));
                     }
                 }
                 const addr_t resume = state_.pc + k_instr_bytes;

@@ -85,6 +85,13 @@ public:
     little_core(const little_core_config& cfg, u32 core_id,
                 functional_memory& memory);
 
+    // Snapshot copy of `other` (check-mode progress, LSL contents, caches,
+    // park state, stats) bound to `memory` and `watermark` instead of the
+    // original's.
+    little_core(const little_core& other, functional_memory& memory,
+                const u64* watermark);
+    little_core& operator=(const little_core&) = delete;
+
     void set_program(const program& prog) { prog_ = &prog; }
     void set_watermark(const u64* watermark) { watermark_ = watermark; }
 
@@ -151,6 +158,8 @@ public:
     u64 last_result() const { return last_result_; }
 
 private:
+    little_core(const little_core&) = default;
+
     struct instr_timing {
         cycle_t issue = 0;
         cycle_t complete = 0;
@@ -170,7 +179,7 @@ private:
 
     little_core_config cfg_;
     u32 core_id_;
-    functional_memory& memory_;
+    functional_memory* memory_;
     const program* prog_ = nullptr;
     const u64* watermark_ = nullptr;
 

@@ -27,12 +27,7 @@ meek_soc::meek_soc(const soc_config& cfg)
     }
     fabric_ = std::make_unique<fabric_model>(cfg.fabric, cfg.big.commit_width,
                                              cfg.num_little_cores);
-    // Raw context + function-pointer sink: the per-packet delivery path
-    // compiles down to one indirect call straight into little_core::deliver.
-    fabric_->set_deliver_ref({this, [](void* ctx, u32 core, const fwd_packet& p) {
-                                  auto* soc = static_cast<meek_soc*>(ctx);
-                                  return soc->littles_[core]->deliver(p);
-                              }});
+    fabric_->set_deliver_ref(deliver_to_littles());
     if (const char* mode = std::getenv("MEEK_LOW_ADVANCE")) {
         if (std::string_view(mode) == "exhaustive") event_driven_ = false;
     }
@@ -41,6 +36,49 @@ meek_soc::meek_soc(const soc_config& cfg)
     // 1.6 GHz domain of Fig. 2. An explicit freq_override_mhz (design-space
     // sweeps) takes precedence over the tuning's achievable clock.
     little_freq_mhz_ = cfg.little.effective_freq_mhz();
+}
+
+meek_soc::meek_soc(const meek_soc& other)
+    : commit_sink(other),
+      cfg_(other.cfg_),
+      big_clock_(other.big_clock_),
+      low_clock_(other.low_clock_),
+      memory_(other.memory_),
+      big_(std::make_unique<ooo_core>(*other.big_, memory_)),
+      fabric_(std::make_unique<fabric_model>(*other.fabric_, deliver_to_littles())),
+      deu_(other.deu_),
+      prog_(other.prog_),
+      checking_(other.checking_),
+      current_segment_(other.current_segment_),
+      current_verifier_(other.current_verifier_),
+      segment_instrs_(other.segment_instrs_),
+      segment_runtime_entries_(other.segment_runtime_entries_),
+      segment_start_seq_(other.segment_start_seq_),
+      committed_watermark_(other.committed_watermark_),
+      pending_(other.pending_),
+      extract_busy_until_(other.extract_busy_until_),
+      low_ticks_done_(other.low_ticks_done_),
+      little_freq_mhz_(other.little_freq_mhz_),
+      little_ticks_done_(other.little_ticks_done_),
+      detections_(other.detections_),
+      stats_(other.stats_),
+      halted_seen_(other.halted_seen_),
+      event_driven_(other.event_driven_),
+      big_run_(other.big_run_),
+      run_error_(other.run_error_) {
+    littles_.reserve(other.littles_.size());
+    for (const auto& lc : other.littles_) {
+        littles_.push_back(std::make_unique<little_core>(*lc, memory_, &committed_watermark_));
+    }
+}
+
+fabric_model::deliver_ref meek_soc::deliver_to_littles() {
+    // Raw context + function-pointer sink: the per-packet delivery path
+    // compiles down to one indirect call straight into little_core::deliver.
+    return {this, [](void* ctx, u32 core, const fwd_packet& p) {
+                auto* soc = static_cast<meek_soc*>(ctx);
+                return soc->littles_[core]->deliver(p);
+            }};
 }
 
 void meek_soc::load_program(const program& prog) {
@@ -367,18 +405,44 @@ void meek_soc::on_halt(cycle_t at) {
 }
 
 meek_run_result meek_soc::run(const run_limits& limits) {
+    begin();
+    advance(limits);
+    return finish();
+}
+
+void meek_soc::begin() {
+    if (prog_ == nullptr || !checking_) return;
+    try {
+        assign_segment(0, 0, 0);
+        send_status(arch_snapshot::capture(big_->state()), 0, bit(0), 0, 0);
+    } catch (const soc_stall_error& e) {
+        run_error_ = e.what();
+    }
+}
+
+void meek_soc::advance(const run_limits& limits) {
+    if (prog_ == nullptr || !run_error_.empty()) return;
+    // The core's limit counts the instructions of one call; ours counts
+    // from begin(), so a split run stops where a continuous one would.
+    const u64 done = big_->stats().instructions;
+    run_limits rest = limits;
+    rest.max_instructions = limits.max_instructions > done ? limits.max_instructions - done : 0;
+    try {
+        big_run_ = big_->run(rest, checking_ ? this : nullptr);
+        big_run_.instructions = big_->stats().instructions;
+    } catch (const soc_stall_error& e) {
+        run_error_ = e.what();
+        big_run_ = run_result{};  // the application run did not complete
+    }
+}
+
+meek_run_result meek_soc::finish() {
     meek_run_result result;
     if (prog_ == nullptr) return result;
+    result.big = big_run_;
 
-    try {
-        if (checking_) {
-            assign_segment(0, 0, 0);
-            send_status(arch_snapshot::capture(big_->state()), 0, bit(0), 0, 0);
-        }
-
-        result.big = big_->run(limits, checking_ ? this : nullptr);
-
-        if (checking_) {
+    if (checking_ && run_error_.empty()) {
+        try {
             cycle_t t = result.big.cycles;
             // An unresolved pending RCP here means zero instructions followed
             // the last boundary; there is nothing left to verify for it.
@@ -405,9 +469,12 @@ meek_run_result meek_soc::run(const run_limits& limits) {
             }
             const cycle_t end_big = low_ticks_done_ * 2;
             result.drain_cycles = end_big > t ? end_big - t : 0;
+        } catch (const soc_stall_error& e) {
+            run_error_ = e.what();
         }
-    } catch (const soc_stall_error& e) {
-        result.error = e.what();
+    }
+    if (!run_error_.empty()) {
+        result.error = run_error_;
         result.big.truncated = true;
     }
 

@@ -73,6 +73,14 @@ class meek_soc : public commit_sink {
 public:
     meek_soc(const soc_config& cfg);
 
+    // Snapshot copy: the copy owns its own memory, cores, fabric and
+    // counters, and continues exactly as the original would from here — so
+    // a fault-free prefix can be simulated once and forked. Hooks are not
+    // copied (they usually capture per-run observer state); attach fresh
+    // ones to the copy.
+    meek_soc(const meek_soc& other);
+    meek_soc& operator=(const meek_soc&) = delete;
+
     // Loads the application program onto the big core (and makes the text
     // visible to the little cores' fetch path).
     void load_program(const program& prog);
@@ -81,8 +89,25 @@ public:
     void set_checking(bool enabled);
 
     // Runs the application thread to completion (or to `limits`), then
-    // drains all outstanding checker work.
+    // drains all outstanding checker work. Same as begin(), advance(limits),
+    // finish().
     meek_run_result run(const run_limits& limits = {});
+
+    // The same run in resumable steps. begin() hands segment 0 to the first
+    // checker. advance() runs the application thread until it halts, a stop
+    // is requested, or its instruction count since begin() reaches
+    // `limits.max_instructions` (its commit cycle `limits.max_cycles`); it
+    // may be called again with larger limits, on this SoC or on a copy.
+    // finish() fires the final RCP and drains the checkers. However a run is
+    // split, its result is bit-identical to begin(), advance(L), finish().
+    void begin();
+    void advance(const run_limits& limits);
+    meek_run_result finish();
+
+    // Early stop, typically requested from a hook: the big core stops after
+    // the instruction it is committing, and finish() still checks
+    // everything committed up to there.
+    using commit_sink::request_stop;
 
     // --- Instrumentation / fault-injection hooks ---
     // Called on every packet right before it enters the fabric; campaigns
@@ -172,7 +197,11 @@ private:
     int find_idle_core() const;
     void assign_segment(u32 core, u32 segment, u64 start_seq);
     cycle_t fire_rcp(const commit_record& rec, cycle_t now_big, bool final_rcp);
+    // Fabric delivery straight into little_core::deliver on this SoC.
+    fabric_model::deliver_ref deliver_to_littles();
 
+    // Every member below is listed in the copy constructor; one added here
+    // must be added there too.
     soc_config cfg_;
     clock_domain big_clock_;
     clock_domain low_clock_;
@@ -208,6 +237,11 @@ private:
     soc_stats stats_;
     bool halted_seen_ = false;
     bool event_driven_ = true;
+
+    // Resumable-run state: the big core's view after the latest advance()
+    // and the first stall error, which ends the run.
+    run_result big_run_;
+    std::string run_error_;
 };
 
 }  // namespace meek

@@ -4,6 +4,13 @@
 
 namespace meek {
 
+functional_memory::functional_memory(const functional_memory& other) {
+    pages_.reserve(other.pages_.size());
+    for (const auto& [num, pg] : other.pages_) {
+        pages_.emplace(num, std::make_unique<page>(*pg));
+    }
+}
+
 const functional_memory::page* functional_memory::find_page(addr_t addr) const {
     const u64 num = addr / k_page_bytes;
     if (last_lookup_ && last_lookup_num_ == num) return last_lookup_;

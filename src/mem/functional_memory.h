@@ -15,6 +15,12 @@ class functional_memory {
 public:
     static constexpr u32 k_page_bytes = 4096;
 
+    functional_memory() = default;
+    // Deep copy: the copy owns its own pages, so writes on either side stay
+    // private; the last-page caches start empty.
+    functional_memory(const functional_memory& other);
+    functional_memory& operator=(const functional_memory&) = delete;
+
     u8 read_byte(addr_t addr) const;
     void write_byte(addr_t addr, u8 value);
 

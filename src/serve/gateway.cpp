@@ -281,7 +281,7 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
     // independent.
     obs::tracer& tracer = obs::tracer::instance();
     const bool tracing = tracer.enabled();
-    const u64 batch_seq = tracing ? batch_seq_++ : batch_seq_;
+    const u64 batch_seq = tracing ? batch_seq_.fetch_add(1) : batch_seq_.load();
     struct line_trace {
         obs::trace_context root;  // {trace id, root "gateway.request" span}
         u64 parent_span = 0;      // adopted caller span (0 when minted)

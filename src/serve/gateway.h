@@ -55,6 +55,7 @@
 // in serve::service.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -172,8 +173,9 @@ private:
     obs::atomic_log_histogram worker_rt_ns_;
     // Trace minting sequence (batch n, line i => mint_trace_id(n, i)); the
     // gateway is the outermost entry point, so minted contexts are injected
-    // into forwarded request lines. Only advanced while tracing is enabled.
-    u64 batch_seq_ = 0;
+    // into forwarded request lines. Only advanced while tracing is enabled;
+    // atomic because evaluate may be called from several threads at once.
+    std::atomic<u64> batch_seq_{0};
 };
 
 }  // namespace meek::serve

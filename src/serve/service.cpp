@@ -201,7 +201,7 @@ std::vector<response_row> service::evaluate(const std::vector<std::string>& line
     obs::tracer& tracer = obs::tracer::instance();
     const bool tracing = tracer.enabled();
     const bool wall_clock = tracer.clock_mode() == obs::trace_clock_mode::wall;
-    const u64 batch_seq = tracing ? batch_seq_++ : batch_seq_;
+    const u64 batch_seq = tracing ? batch_seq_.fetch_add(1) : batch_seq_.load();
 
     std::vector<line_trace> line_traces(tracing ? lines.size() : 0);
     std::vector<clock::time_point> line_started(lines.size());
@@ -407,7 +407,7 @@ bool service::serve_batch_streaming(std::istream& in, std::ostream& out,
     obs::tracer& tracer = obs::tracer::instance();
     const bool tracing = tracer.enabled();
     const bool wall_clock = tracer.clock_mode() == obs::trace_clock_mode::wall;
-    const u64 batch_seq = tracing ? batch_seq_++ : batch_seq_;
+    const u64 batch_seq = tracing ? batch_seq_.fetch_add(1) : batch_seq_.load();
 
     // The reorder window: rows in global (request, repeat) order; row k is
     // written once rows 0..k-1 are out and k is ready, so the byte stream is

@@ -36,6 +36,7 @@
 // it on recovery.
 #pragma once
 
+#include <atomic>
 #include <iosfwd>
 #include <mutex>
 #include <string>
@@ -139,8 +140,9 @@ private:
     sim::executor pool_;
     // Trace minting sequence: batch n, line i => mint_trace_id(n, i), so
     // trace ids are a pure function of the session's input, never of
-    // scheduling. Only advanced while tracing is enabled.
-    u64 batch_seq_ = 0;
+    // scheduling. Only advanced while tracing is enabled; atomic because
+    // serve_batch may run on several accept-pool threads at once.
+    std::atomic<u64> batch_seq_{0};
 };
 
 }  // namespace meek::serve

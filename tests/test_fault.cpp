@@ -311,6 +311,60 @@ TEST(campaign_resume, truncated_checkpoint_is_rerun_not_trusted) {
     expect_same_records(first, second);
 }
 
+TEST(campaign, zero_faults_return_an_empty_result_without_simulating) {
+    fault_campaign_config fc;
+    fc.num_faults = 0;
+    obs::metrics_registry reg;
+    fc.metrics = &reg;
+    const generated_workload wl = generate_workload(*find_profile("hmmer"), 30'000, 13);
+    sim::executor ex(2);
+    for (const campaign_result& r : {run_fault_campaign(soc_config{}, wl.prog, fc),
+                                     run_fault_campaign(soc_config{}, wl.prog, fc, ex)}) {
+        EXPECT_TRUE(r.faults.empty());
+        EXPECT_EQ(r.detected + r.masked, 0u);
+        EXPECT_EQ(r.latency_ns.count(), 0u);
+        EXPECT_EQ(r.simulated_instructions, 0u);
+        EXPECT_EQ(r.resumed_shards, 0u);
+    }
+    EXPECT_EQ(reg.snapshot().counter_value("campaign.shards_completed"), nullptr)
+        << "no shard ran, simulated or resumed";
+}
+
+// A campaign stops at its last resolved fault, so a shorter campaign is a
+// prefix of a longer one with the same seed: the records it shares must not
+// depend on where either run stopped. 75 faults end shard 1 half-way
+// through the 100-fault campaign's shard 1.
+TEST(campaign, fewer_faults_give_a_prefix_of_the_records) {
+    fault_campaign_config fc;
+    fc.seed = 5;
+    const u64 needed = 100 * (fc.gap_instructions + 2'000) + 50'000;
+    const generated_workload wl = generate_workload(*find_profile("hmmer"), needed, 13);
+    sim::executor ex(2);
+    auto run = [&](u32 faults, bool sharded) {
+        fault_campaign_config c = fc;
+        c.num_faults = faults;
+        return sharded ? run_fault_campaign(soc_config{}, wl.prog, c, ex)
+                       : run_fault_campaign(soc_config{}, wl.prog, c);
+    };
+    for (const bool sharded : {false, true}) {
+        const campaign_result shorter = run(75, sharded);
+        const campaign_result longer = run(100, sharded);
+        ASSERT_EQ(shorter.faults.size(), 75u) << "sharded=" << sharded;
+        ASSERT_EQ(longer.faults.size(), 100u) << "sharded=" << sharded;
+        EXPECT_LT(shorter.simulated_instructions, longer.simulated_instructions);
+        for (std::size_t i = 0; i < shorter.faults.size(); ++i) {
+            const fault_record& a = shorter.faults[i];
+            const fault_record& b = longer.faults[i];
+            EXPECT_EQ(a.inject_seq, b.inject_seq) << "sharded=" << sharded << " " << i;
+            EXPECT_EQ(a.inject_big_cycle, b.inject_big_cycle) << i;
+            EXPECT_EQ(a.detect_big_cycle, b.detect_big_cycle) << i;
+            EXPECT_EQ(a.detected, b.detected) << i;
+            EXPECT_EQ(a.kind, b.kind) << i;
+            EXPECT_EQ(a.corrupted_kind, b.corrupted_kind) << i;
+        }
+    }
+}
+
 TEST(campaign, errors_only_when_faults_injected) {
     // Control: a campaign with zero faults reports a clean run.
     fault_campaign_config fc;
@@ -346,6 +400,16 @@ TEST(campaign_metrics, shards_pour_progress_counters_into_the_registry) {
               first.detected + first.masked);
     EXPECT_EQ(counter_or_zero(snap, "campaign.records_emitted"),
               first.faults.size());
+    // Shards stop at their last resolved fault and share one simulated
+    // prefix, so they simulate less than their budgets add up to.
+    const u64 shard_budget = fc.shard_warmup_instructions +
+                             u64{fc.faults_per_shard} * (fc.gap_instructions + 2'000) +
+                             fc.detection_horizon + 50'000;
+    EXPECT_EQ(counter_or_zero(snap, "campaign.sim_instructions"),
+              first.simulated_instructions);
+    EXPECT_GT(first.simulated_instructions,
+              fc.shard_warmup_instructions + fc.gap_instructions);
+    EXPECT_LT(first.simulated_instructions, 4 * shard_budget);
 
     // The registry is observability only: results match a metrics-free run.
     fault_campaign_config plain = fx.fc;
@@ -363,6 +427,8 @@ TEST(campaign_metrics, shards_pour_progress_counters_into_the_registry) {
     EXPECT_EQ(counter_or_zero(snap2, "campaign.shards_resumed"), 4u);
     EXPECT_EQ(counter_or_zero(snap2, "campaign.records_emitted"),
               second.faults.size());
+    EXPECT_EQ(counter_or_zero(snap2, "campaign.sim_instructions"), 0u);
+    EXPECT_EQ(second.simulated_instructions, 0u);
 }
 
 }  // namespace

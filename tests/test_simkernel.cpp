@@ -5,7 +5,10 @@
 //     over the whole meek_run_result, per-core stats included;
 //   * a configuration that can provably make no progress (zero-capacity
 //     fabric) surfaces as an explicit run_result error instead of the former
-//     livelock, in both advance modes.
+//     livelock, in both advance modes;
+//   * a run split into begin/advance/finish steps, and a copy of the SoC
+//     taken mid-run and finished on its own, are bit-identical to one
+//     continuous run, also when the run is stopped early.
 #include <gtest/gtest.h>
 
 #include "isa/assembler.h"
@@ -31,6 +34,22 @@ program loop_program(int iterations) {
     b.emit(make_store(opcode::sd, 6, 5, 0));
     b.emit(make_load(opcode::ld, 7, 5, 0));
     b.emit(make_r(opcode::add, 6, 6, 7));
+    b.emit(make_i(opcode::addi, 1, 1, -1));
+    b.emit_branch(opcode::bne, 1, 0, "loop");
+    b.emit(make_sys(opcode::halt));
+    return b.build();
+}
+
+// A counter kept in memory (load, increment, store back): its final value
+// depends on every store landing in this run's memory and nowhere else.
+program memory_counter_program(int iterations) {
+    program_builder b;
+    b.emit_li(1, iterations);
+    b.emit_li(5, k_default_data_base);
+    b.label("loop");
+    b.emit(make_load(opcode::ld, 6, 5, 0));
+    b.emit(make_i(opcode::addi, 6, 6, 1));
+    b.emit(make_store(opcode::sd, 6, 5, 0));
     b.emit(make_i(opcode::addi, 1, 1, -1));
     b.emit_branch(opcode::bne, 1, 0, "loop");
     b.emit(make_sys(opcode::halt));
@@ -71,6 +90,142 @@ void expect_identical_little_stats(const meek_soc& a, const meek_soc& b,
         EXPECT_EQ(sa.stall_srcp, sb.stall_srcp) << "core " << i;
         EXPECT_EQ(sa.apply_compare_cycles, sb.apply_compare_cycles) << "core " << i;
         EXPECT_EQ(sa.app_instructions, sb.app_instructions) << "core " << i;
+    }
+}
+
+void expect_identical_fabric_stats(const meek_soc& a, const meek_soc& b) {
+    const fabric_stats& fa = a.fabric().stats();
+    const fabric_stats& fb = b.fabric().stats();
+    EXPECT_EQ(fa.packets_pushed, fb.packets_pushed);
+    EXPECT_EQ(fa.packets_delivered, fb.packets_delivered);
+    EXPECT_EQ(fa.transmissions, fb.transmissions);
+    EXPECT_EQ(fa.multicast_merged, fb.multicast_merged);
+    EXPECT_EQ(fa.push_rejects, fb.push_rejects);
+    EXPECT_EQ(fa.delivery_retries, fb.delivery_retries);
+    EXPECT_EQ(fa.busy_lo_cycles, fb.busy_lo_cycles);
+    EXPECT_EQ(fa.max_dc_depth, fb.max_dc_depth);
+}
+
+void expect_identical_big_core_stats(const meek_soc& a, const meek_soc& b) {
+    const core_stats& ca = a.big_core().stats();
+    const core_stats& cb = b.big_core().stats();
+    EXPECT_EQ(ca.instructions, cb.instructions);
+    EXPECT_EQ(ca.cycles, cb.cycles);
+    EXPECT_EQ(ca.mispredicts, cb.mispredicts);
+    EXPECT_EQ(ca.stall_icache, cb.stall_icache);
+    EXPECT_EQ(ca.stall_redirect, cb.stall_redirect);
+    EXPECT_EQ(ca.stall_dcache, cb.stall_dcache);
+    EXPECT_EQ(ca.stall_sink, cb.stall_sink);
+    EXPECT_TRUE(arch_snapshot::capture(a.big_core().state()) ==
+                arch_snapshot::capture(b.big_core().state()))
+        << "architectural state differs";
+    const cache_stats& ia = a.big_core().hierarchy().l1i().stats();
+    const cache_stats& ib = b.big_core().hierarchy().l1i().stats();
+    EXPECT_EQ(ia.hits, ib.hits);
+    EXPECT_EQ(ia.misses, ib.misses);
+    const cache_stats& da = a.big_core().hierarchy().l1d().stats();
+    const cache_stats& db = b.big_core().hierarchy().l1d().stats();
+    EXPECT_EQ(da.hits, db.hits);
+    EXPECT_EQ(da.misses, db.misses);
+}
+
+// Runs `p` three ways: continuously; as a copy taken at `split`
+// instructions and finished on its own; and as the original of that copy,
+// finished afterwards in steps of `step` instructions (so many split points
+// land right after a redirect). All three must agree field-for-field. The
+// copy runs first: one still wired to the original's memory or watermark
+// would see the original frozen at `split`. A nonzero `stop_seq` requests an
+// early stop at the first forwarded packet with seq >= stop_seq. Returns
+// the continuous run's result.
+meek_run_result expect_split_and_copy_match_continuous(const soc_config& cfg,
+                                                       const program& p,
+                                                       bool event_driven, u64 split,
+                                                       u64 stop_seq = 0) {
+    constexpr u64 step = 211;
+    auto prepare = [&](meek_soc& soc) {
+        soc.set_event_driven_low_advance(event_driven);
+        soc.load_program(p);
+    };
+    auto attach_stop = [stop_seq](meek_soc& soc) {
+        if (stop_seq == 0) return;
+        soc.set_packet_hook([&soc, stop_seq](fwd_packet& pkt) {
+            if (pkt.seq >= stop_seq) soc.request_stop();
+        });
+    };
+
+    meek_soc whole(cfg);
+    prepare(whole);
+    attach_stop(whole);
+    const meek_run_result r_whole = whole.run();
+
+    meek_soc split_soc(cfg);
+    prepare(split_soc);
+    attach_stop(split_soc);
+    split_soc.begin();
+    run_limits head;
+    head.max_instructions = split;
+    split_soc.advance(head);
+    EXPECT_EQ(split_soc.big_core().stats().instructions, split);
+
+    meek_soc copy(split_soc);  // hooks are not copied
+    attach_stop(copy);
+    copy.advance(run_limits{});
+    const meek_run_result r_copy = copy.finish();
+    for (u64 end = split + step; end - step < r_copy.big.instructions; end += step) {
+        head.max_instructions = end;
+        split_soc.advance(head);
+    }
+    split_soc.advance(run_limits{});
+    const meek_run_result r_split = split_soc.finish();
+
+    for (const meek_soc* soc : {&split_soc, &copy}) {
+        SCOPED_TRACE(soc == &copy ? "copy" : "split");
+        expect_identical_results(r_whole, soc == &copy ? r_copy : r_split);
+        expect_identical_little_stats(whole, *soc, cfg.num_little_cores);
+        expect_identical_fabric_stats(whole, *soc);
+        expect_identical_big_core_stats(whole, *soc);
+        EXPECT_EQ(whole.detections().size(), soc->detections().size());
+    }
+    return r_whole;
+}
+
+TEST(sim_kernel, split_and_copied_runs_match_a_continuous_run) {
+    const program loop = loop_program(3000);
+    const program counter = memory_counter_program(4000);
+    const auto wl = generate_workload(*find_profile("hmmer"), 30'000, 0xC0FFEE);
+    soc_config axi;
+    axi.fabric.kind = fabric_kind::axi_interconnect;
+    for (const bool event_driven : {true, false}) {
+        SCOPED_TRACE(event_driven ? "event-driven" : "exhaustive");
+        const meek_run_result a =
+            expect_split_and_copy_match_continuous(soc_config{}, loop, event_driven, 7'777);
+        EXPECT_TRUE(a.big.halted);
+        EXPECT_TRUE(a.verified_ok);
+        expect_split_and_copy_match_continuous(soc_config{}, counter, event_driven, 9'001);
+        const meek_run_result b =
+            expect_split_and_copy_match_continuous(axi, wl.prog, event_driven, 12'345);
+        EXPECT_TRUE(b.big.halted);
+        EXPECT_TRUE(b.verified_ok);
+    }
+}
+
+TEST(sim_kernel, stopped_run_checks_what_it_committed_and_matches_when_split) {
+    const program p = loop_program(3000);
+    for (const bool event_driven : {true, false}) {
+        SCOPED_TRACE(event_driven ? "event-driven" : "exhaustive");
+        const meek_run_result r = expect_split_and_copy_match_continuous(
+            soc_config{}, p, event_driven, 7'777, /*stop_seq=*/15'000);
+        EXPECT_TRUE(r.big.truncated);
+        EXPECT_FALSE(r.big.halted);
+        EXPECT_GE(r.big.instructions, 15'001u);
+        EXPECT_LT(r.big.instructions, 15'100u) << "stops right after the request";
+        // Fault-free: everything committed before the stop is verified, and
+        // nothing is reported.
+        EXPECT_TRUE(r.verified_ok);
+        EXPECT_TRUE(r.error.empty());
+        EXPECT_EQ(r.soc.errors_detected, 0u);
+        EXPECT_EQ(r.soc.segments_failed, 0u);
+        EXPECT_EQ(r.soc.segments_verified, r.soc.segments_started);
     }
 }
 
