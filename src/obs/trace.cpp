@@ -161,6 +161,18 @@ void tracer::record(const span_record& rec) {
     recorded_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void tracer::record(u64 trace_id, u64 span_id, u64 parent_span_id, std::string_view name,
+                    u64 begin_ns, u64 end_ns) {
+    span_record rec;
+    rec.trace_id = trace_id;
+    rec.span_id = span_id;
+    rec.parent_span_id = parent_span_id;
+    rec.begin_ns = begin_ns;
+    rec.end_ns = end_ns;
+    copy_span_name(rec.name, name);
+    record(rec);
+}
+
 void tracer::consume_ring(thread_ring& ring, std::vector<span_record>* out) {
     const u64 head = ring.head.load(std::memory_order_acquire);
     u64 consumed = ring.consumed.load(std::memory_order_relaxed);
@@ -269,32 +281,12 @@ void job_span_recorder::finished() {
     tracer& t = tracer::instance();
     const u64 end_ns = t.now_ns(job_span_id_);
 
-    span_record job;
-    job.trace_id = parent_.trace_id;
-    job.span_id = job_span_id_;
-    job.parent_span_id = parent_.span_id;
-    job.begin_ns = posted_ns_;
-    job.end_ns = end_ns;
-    copy_span_name(job.name, "job");
-    t.record(job);
-
-    span_record wait;
-    wait.trace_id = parent_.trace_id;
-    wait.span_id = derive_span_id(parent_.trace_id, job_span_id_, "queue_wait");
-    wait.parent_span_id = job_span_id_;
-    wait.begin_ns = posted_ns_;
-    wait.end_ns = started_ns_;
-    copy_span_name(wait.name, "queue_wait");
-    t.record(wait);
-
-    span_record run;
-    run.trace_id = parent_.trace_id;
-    run.span_id = derive_span_id(parent_.trace_id, job_span_id_, "run");
-    run.parent_span_id = job_span_id_;
-    run.begin_ns = started_ns_;
-    run.end_ns = end_ns;
-    copy_span_name(run.name, "run");
-    t.record(run);
+    const u64 trace_id = parent_.trace_id;
+    t.record(trace_id, job_span_id_, parent_.span_id, "job", posted_ns_, end_ns);
+    t.record(trace_id, derive_span_id(trace_id, job_span_id_, "queue_wait"), job_span_id_,
+             "queue_wait", posted_ns_, started_ns_);
+    t.record(trace_id, derive_span_id(trace_id, job_span_id_, "run"), job_span_id_,
+             "run", started_ns_, end_ns);
 }
 
 trace_context job_span_recorder::context() const {

@@ -91,6 +91,9 @@ public:
     // Record one completed span into the calling thread's ring (drop-counted
     // when full). No-op while disabled.
     void record(const span_record& rec);
+    // The same from explicit coordinates (the name truncates as above).
+    void record(u64 trace_id, u64 span_id, u64 parent_span_id, std::string_view name,
+                u64 begin_ns, u64 end_ns);
 
     // Consume every recorded span (live rings + retired store). Cold path.
     std::vector<span_record> drain();

@@ -4,7 +4,8 @@
 //
 // Three pressure signals, each optional (0 = unlimited):
 //   * in-flight jobs   — simulations submitted to the executor and not yet
-//                        completed (the streaming path's saturation signal);
+//                        completed, counted from dispatch (the pipelined
+//                        executor's saturation signal);
 //   * queued lines     — request lines admitted and not yet retired
 //                        (buffered ahead of evaluation);
 //   * queued bytes     — the same backlog, in request bytes;

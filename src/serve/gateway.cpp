@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cstdio>
 #include <istream>
 #include <mutex>
 #include <optional>
@@ -61,19 +60,6 @@ std::string inject_trace_field(const std::string& line, const obs::trace_context
     return out;
 }
 
-void record_gateway_span(obs::tracer& tracer, u64 trace_id, u64 span_id,
-                         u64 parent_span_id, const char* name, u64 begin_ns,
-                         u64 end_ns) {
-    obs::span_record rec;
-    rec.trace_id = trace_id;
-    rec.span_id = span_id;
-    rec.parent_span_id = parent_span_id;
-    rec.begin_ns = begin_ns;
-    rec.end_ns = end_ns;
-    std::snprintf(rec.name, sizeof rec.name, "%s", name);
-    tracer.record(rec);
-}
-
 }  // namespace
 
 // One endpoint of the pool: a spawned child process or a connected socket.
@@ -103,6 +89,12 @@ struct gateway::worker {
     // it failed mid-batch; respawns counts successful revivals.
     u64 error_rows = 0;
     u64 respawns = 0;
+
+    // Unblock a writer stuck on a worker that stopped reading.
+    void hang_up() {
+        if (proc) proc->kill();
+        if (sock) sock->hang_up();
+    }
 
     void fail(const std::string& why) {
         failed = true;
@@ -235,14 +227,10 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
         std::size_t owner = 0;  // worker index the line was assigned to
         std::string id;         // echoed into synthesized error rows
         u64 repeats = 1;
-        u64 rows_received = 0;
-        u64 error_rows = 0;
-        bool settled_by_error = false;
-        // Streaming emit state: `settled` = every row the request will ever
-        // get is in `rows` (worker answered past it, or settled locally);
-        // `emitted` = the sink took them.
+        u64 error_rows = 0;  // any error row settles the request
+        // Every row the request will ever get is in `rows` (worker answered
+        // past it, or settled locally); the window may hand them to the sink.
         bool settled = false;
-        bool emitted = false;
         std::vector<std::pair<u64, std::string>> rows;  // (repeat, final line)
     };
     std::vector<request_state> requests(lines.size());
@@ -250,8 +238,7 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
     // The reorder window over requests: the sink takes request g's rows once
     // requests 0..g-1 are out and g has settled. Reader threads advance it
     // concurrently; `emit_mutex` serializes both the window state and the
-    // sink itself. Buffered mode is the degenerate case where everything
-    // settles before the single final drain.
+    // sink itself.
     std::mutex emit_mutex;
     std::size_t next_emit = 0;
     u64 emitted_rows = 0;
@@ -266,7 +253,6 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
             for (auto& [repeat, line] : rs.rows) batch.push_back(std::move(line));
             rs.rows.clear();
             emitted_rows += batch.size();
-            rs.emitted = true;
             ++next_emit;
             sink(std::move(batch));
         }
@@ -298,13 +284,11 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
     // the stream — so it is settled locally with the same error row a
     // single-process service would emit.
     std::vector<double> costs(lines.size(), 0.0);
-    std::vector<bool> settled_locally(lines.size(), false);
     std::vector<u64> admitted_bytes;  // queue accounting to retire at the end
     u64 shed = 0;
     for (std::size_t i = 0; i < lines.size(); ++i) {
         request_state& rs = requests[i];
         const parsed_request parsed = parse_request(strip_cr(lines[i]));
-        bool line_shed = false;
         if (parsed.ok()) {
             rs.id = parsed.request.id;
             rs.repeats = parsed.request.repeats;
@@ -317,19 +301,16 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
             const admission_controller::decision gate =
                 admission_.admit_line(lines[i].size(), rs.repeats);
             if (!gate.admit) {
-                rs.settled_by_error = true;
                 rs.settled = true;
                 ++rs.error_rows;
                 ++shed;
                 rs.rows.emplace_back(
                     0, to_json(overloaded_row(i, gate.retry_after_ms, rs.id)));
-                settled_locally[i] = true;
-                line_shed = true;
             } else {
                 admitted_bytes.push_back(lines[i].size());
             }
         }
-        if (!line_shed) costs[i] = line_cost(parsed);
+        if (!rs.settled) costs[i] = line_cost(parsed);  // shed lines cost nothing
         if (tracing) {
             line_trace& lt = line_traces[i];
             u64 trace_id = 0;
@@ -352,11 +333,9 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
             response_row err;
             err.request_index = i;
             err.error = parsed.error;  // "bad json: ...", as the worker would say
-            rs.settled_by_error = true;
             rs.settled = true;
             ++rs.error_rows;
             rs.rows.emplace_back(0, to_json(err));
-            settled_locally[i] = true;
         }
     }
 
@@ -394,7 +373,7 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
         } else {
             rs.owner = alive[bins[i]];
         }
-        if (!settled_locally[i] && num_workers > 0) {
+        if (!rs.settled && num_workers > 0) {  // not settled locally
             owned[rs.owner].push_back(i);
         }
     }
@@ -407,7 +386,7 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
     }
 
     // Fan the sub-batches out, one thread per live worker: write the framed
-    // sub-batch, then read rows until the blank end-of-batch marker. Each
+    // sub-batch while reading rows until the blank end-of-batch marker. Each
     // row is credited to its request as it arrives — remap the worker-local
     // index, rewrite it in the raw line, bucket by (global request, repeat)
     // — and, since a worker answers its sub-batch in order, a row for local
@@ -423,7 +402,7 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
         threads.emplace_back([this, k, &owned, &wire_lines, &requests, tracing,
                               &line_traces, &tracer, &emit_mutex, &drain] {
             worker& w = *workers_[k];
-            std::iostream& io = *w.io();
+            std::streambuf* const link = w.io()->rdbuf();
             const auto rt_start = std::chrono::steady_clock::now();
             const auto note_rt = [this, rt_start] {
                 const auto d = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -439,15 +418,19 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
                         tracer.now_ns(line_traces[g].root.trace_id);
                 }
             }
-            for (const std::size_t g : owned[k]) {
-                io << wire_lines[g] << '\n';
-            }
-            io << '\n';
-            io.flush();
-            if (!io.good()) {
-                w.fail("write to worker failed");
-                return;
-            }
+            // Write while reading: a worker answers lines while it reads the
+            // rest, so writing everything first deadlocks once the sub-batch
+            // and its rows outgrow the pipe or socket buffers. Each direction
+            // gets its own stream (the streambuf's get/put areas are disjoint).
+            bool wrote = false;
+            std::thread writer([&] {
+                std::ostream out(link);
+                for (const std::size_t g : owned[k]) out << wire_lines[g] << '\n';
+                out << '\n';
+                out.flush();
+                wrote = out.good();
+            });
+            std::istream io(link);
             // Local indices < settled_upto have every row they will get.
             std::size_t settled_upto = 0;
             const auto settle_to = [&](std::size_t local_end) {  // emit_mutex held
@@ -456,6 +439,7 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
                     requests[owned[k][settled_upto]].settled = true;
                 }
             };
+            const char* failure = "EOF before end-of-batch marker";
             std::string line;
             while (std::getline(io, line)) {
                 if (is_blank_line(line)) {  // end-of-batch marker
@@ -468,42 +452,40 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
                     if (tracing) {
                         for (const std::size_t g : owned[k]) {
                             const line_trace& lt = line_traces[g];
-                            record_gateway_span(
-                                tracer, lt.root.trace_id,
-                                obs::derive_span_id(lt.root.trace_id,
-                                                    lt.root.span_id,
-                                                    "gateway.worker_rt"),
-                                lt.root.span_id, "gateway.worker_rt",
-                                lt.worker_rt_begin,
-                                tracer.now_ns(lt.root.trace_id));
+                            const u64 id = lt.root.trace_id;
+                            tracer.record(id,
+                                          obs::derive_span_id(id, lt.root.span_id,
+                                                              "gateway.worker_rt"),
+                                          lt.root.span_id, "gateway.worker_rt",
+                                          lt.worker_rt_begin, tracer.now_ns(id));
                         }
                     }
-                    return;
+                    failure = nullptr;
+                    break;
                 }
                 std::string raw{strip_cr(line)};
                 const std::optional<response_row> row = parse_response(raw);
-                if (!row || row->request_index >= owned[k].size()) {
-                    w.fail("desynced response stream");
-                    return;
-                }
-                const std::size_t g = owned[k][row->request_index];
-                if (!rewrite_request_index(&raw, g)) {
-                    w.fail("desynced response stream");
-                    return;
+                const std::size_t local = row ? row->request_index : owned[k].size();
+                if (local >= owned[k].size() ||
+                    !rewrite_request_index(&raw, owned[k][local])) {
+                    failure = "desynced response stream";
+                    break;
                 }
                 std::lock_guard lock(emit_mutex);
-                settle_to(row->request_index);
-                request_state& rs = requests[g];
-                ++rs.rows_received;
+                settle_to(local);
+                request_state& rs = requests[owned[k][local]];
                 if (!row->error.empty()) {
-                    rs.settled_by_error = true;
                     ++rs.error_rows;
                     ++w.error_rows;
                 }
                 rs.rows.emplace_back(row->repeat, std::move(raw));
                 drain();
             }
-            w.fail("EOF before end-of-batch marker");
+            // A worker we stopped reading may have stopped reading us too.
+            if (failure) w.hang_up();
+            writer.join();
+            if (!wrote) w.fail("write to worker failed");
+            if (failure) w.fail(failure);
         });
     }
     for (std::thread& t : threads) t.join();
@@ -515,8 +497,8 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
     // are complete by construction and untouched.
     for (std::size_t g = 0; g < requests.size(); ++g) {
         request_state& rs = requests[g];
-        if (rs.emitted || rs.settled) continue;
-        if (rs.settled_by_error) {
+        if (rs.settled) continue;
+        if (rs.error_rows > 0) {
             rs.settled = true;  // its single error row arrived; nothing owed
             continue;
         }
@@ -566,9 +548,9 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
     // Close every line's root span now that its rows are merged.
     if (tracing) {
         for (const line_trace& lt : line_traces) {
-            record_gateway_span(tracer, lt.root.trace_id, lt.root.span_id,
-                                lt.parent_span, "gateway.request", lt.root_begin,
-                                tracer.now_ns(lt.root.trace_id));
+            tracer.record(lt.root.trace_id, lt.root.span_id, lt.parent_span,
+                          "gateway.request", lt.root_begin,
+                          tracer.now_ns(lt.root.trace_id));
         }
     }
 
@@ -601,24 +583,15 @@ bool gateway::serve_batch(std::istream& in, std::ostream& out, gateway_stats* st
     bool aborted = false;
     const auto write_rows = [&](std::vector<std::string>&& rows) {
         if (aborted) return;
-        for (const std::string& row : rows) {
-            out << row << '\n';
-            if (!out) {  // client hung up mid-response
-                aborted = true;
-                if (stats) stats->client_aborts += 1;
-                MEEK_LOG(warn, "gateway: client aborted mid-response");
-                return;
-            }
+        for (const std::string& row : rows) out << row << '\n';
+        out.flush();
+        if (!out) {  // client hung up mid-response
+            aborted = true;
+            if (stats) stats->client_aborts += 1;
+            MEEK_LOG(warn, "gateway: client aborted mid-response");
         }
-        if (opts_.streaming && !rows.empty()) out.flush();
     };
-
-    if (opts_.streaming) {
-        evaluate_streamed(batch.lines, stats, write_rows);
-    } else {
-        std::vector<std::string> rows = evaluate(batch.lines, stats);
-        write_rows(std::move(rows));
-    }
+    evaluate_streamed(batch.lines, stats, write_rows);
 
     // Batch-cap overflow tail: in-slot overloaded rows past the evaluated
     // indices, exactly as serve::service settles them.
@@ -641,14 +614,8 @@ bool gateway::serve_batch(std::istream& in, std::ostream& out, gateway_stats* st
         }
     }
 
-    if (!aborted) {
-        if (framed) out << '\n';
-        out.flush();
-        if (!out) {
-            aborted = true;
-            if (stats) stats->client_aborts += 1;
-        }
-    }
+    // The end-of-batch marker is one empty row; unframed, just the last flush.
+    write_rows(framed ? std::vector<std::string>{""} : std::vector<std::string>{});
     slo_feedback_tick();
     return !aborted && !batch.stream_error;
 }

@@ -37,13 +37,14 @@
 // The gateway never simulates and never inspects outcome fields — protocol
 // framing, cost estimation, sharding, index rewriting, order-preserving
 // merge.
-// Streaming mode (gateway_options.streaming): serve_batch emits each
-// request's merged rows as soon as that request *settles* — its worker has
-// answered every row it owes (workers answer their sub-batches in order, so
-// a row for a later sub-batch line settles every earlier one) or it was
-// settled locally (blank line, admission shed) — advancing a global prefix
-// window so the byte stream stays identical to the buffered path; shed rows
-// at the head of the batch go out before any worker responds.
+//
+// Emission: serve_batch hands each request's merged rows to the client as
+// soon as that request *settles* — its worker has answered every row it
+// owes (workers answer their sub-batches in order, so a row for a later
+// sub-batch line settles every earlier one) or it was settled locally (blank
+// line, admission shed) — advancing a global prefix window and flushing per
+// settled run, so the byte stream is a function of the batch alone; shed
+// rows at the head of the batch go out before any worker responds.
 //
 // Overload behavior mirrors serve::service: with admission configured, each
 // parseable line is offered to the admission_controller at parse time and a
@@ -86,7 +87,6 @@ struct gateway_options {
     admission_options admission;  // front-end admission control (default off;
                                   // the in-flight-jobs cap is inert here —
                                   // the gateway runs no jobs of its own)
-    bool streaming = false;       // per-settled-request row emission
     // Nonempty clauses => after each batch the worker round-trip burn rate
     // against this spec feeds admission (tighten on violation, recover).
     obs::slo_spec slo_feedback;
@@ -120,7 +120,7 @@ public:
     std::vector<std::string> evaluate(const std::vector<std::string>& lines,
                                       gateway_stats* stats = nullptr);
 
-    // The streaming variant: `sink` receives each request's merged rows the
+    // The emitter under evaluate() and serve_batch(): `sink` receives each request's merged rows the
     // moment the global prefix up to it has settled — possibly from a worker
     // reader thread, serialized under an internal mutex. Concatenating every
     // sink call reproduces evaluate()'s return byte for byte.

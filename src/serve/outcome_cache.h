@@ -11,38 +11,21 @@
 // from the requesting spec, so two names wrapping the same experiment share
 // one cache entry yet each sees its own name in the outcome.
 //
-// Concurrency mirrors serve::workload_cache: the first requester of a key
-// simulates while holding only a per-entry future; concurrent requesters of
-// the same key join that future (one simulation, counted as hits), requesters
-// of different keys simulate in parallel. LRU-bounded; capacity 0 disables
-// caching (every call simulates privately).
+// Concurrency, bounding and failure handling are serve::once_lru's, as for
+// serve::workload_cache: one simulation per key however many requesters
+// join it (counted as hits), LRU-bounded, capacity 0 disables caching.
 #pragma once
 
-#include <future>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-
+#include "serve/once_lru.h"
 #include "sim/job.h"
 
 namespace meek::serve {
 
-struct outcome_cache_stats {
-    u64 hits = 0;
-    u64 misses = 0;
-    u64 evictions = 0;
-
-    u64 lookups() const { return hits + misses; }
-    double hit_rate() const {
-        const u64 total = lookups();
-        return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-    }
-};
+using outcome_cache_stats = lru_stats;
 
 class outcome_cache {
 public:
-    explicit outcome_cache(std::size_t capacity = 256);
+    explicit outcome_cache(std::size_t capacity = 256) : lru_(capacity) {}
 
     // The reduced outcome for `spec`, simulating on first request. The
     // returned copy carries `spec`'s scenario/workload names regardless of
@@ -51,25 +34,13 @@ public:
     // request can retry. Safe to call from any executor worker.
     sim::run_outcome outcome_for(const sim::run_spec& spec);
 
-    outcome_cache_stats stats() const;
-    std::size_t size() const;
-    std::size_t capacity() const { return capacity_; }
-    void clear();
+    outcome_cache_stats stats() const { return lru_.stats(); }
+    std::size_t size() const { return lru_.size(); }
+    std::size_t capacity() const { return lru_.capacity(); }
+    void clear() { lru_.clear(); }
 
 private:
-    using future_t = std::shared_future<std::shared_ptr<const sim::run_outcome>>;
-    struct entry {
-        u64 key = 0;
-        u64 id = 0;  // insertion tag: lets a failed producer erase only its own entry
-        future_t ready;
-    };
-
-    const std::size_t capacity_;
-    mutable std::mutex mutex_;
-    std::list<entry> lru_;  // front = most recently used
-    std::unordered_map<u64, std::list<entry>::iterator> index_;
-    outcome_cache_stats stats_;
-    u64 next_id_ = 1;
+    once_lru<u64, sim::run_outcome> lru_;
 };
 
 }  // namespace meek::serve

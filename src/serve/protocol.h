@@ -74,14 +74,36 @@ struct batch_limits {
     u64 max_bytes = 64u << 20;     // request bytes buffered per batch
 };
 
-// One batch off a stream, with its framing diagnostics. `lines` holds the
-// admitted (CR-stripped) request lines; `overflow_lines` counts lines past
-// the batch_limits caps — they occupy request indices
-// [lines.size(), lines.size() + overflow_lines) but their content was
-// discarded. `stream_error` distinguishes a stream that *died* (in.bad() — an
-// I/O error on a socket, a throwing streambuf) from a clean end-of-stream;
-// the two must not be conflated or a flaky transport looks like a polite
-// client hanging up.
+// Line-at-a-time batch reader, the one place framing and the batch_limits
+// caps are applied: skips leading blank lines, then yields CR-stripped
+// request lines until a blank line or EOF. Once a line crosses a cap, it and
+// every later line of the batch are `overflow` (content discarded), so
+// overflow indices stay contiguous at the tail.
+class batch_reader {
+public:
+    enum class item { line, overflow, end };
+
+    batch_reader(std::istream& in, const batch_limits& limits) : in_(in), limits_(limits) {}
+
+    // `*line` is valid until the next call; none may follow `end`.
+    item next(std::string_view* line);
+
+    // The stream *died* (in.bad() — an I/O error on a socket, a throwing
+    // streambuf) rather than ending cleanly; the two must not be conflated
+    // or a flaky transport looks like a polite client hanging up.
+    bool stream_error() const;
+
+private:
+    std::istream& in_;
+    const batch_limits limits_;
+    std::string buf_;
+    u64 lines_ = 0;
+    u64 bytes_ = 0;  // kept (non-overflow) request bytes
+    bool overflowing_ = false;
+};
+
+// One whole batch: the kept lines, then `overflow_lines` discarded ones at
+// request indices [lines.size(), lines.size() + overflow_lines).
 struct batch_read {
     std::vector<std::string> lines;
     u64 overflow_lines = 0;
@@ -89,14 +111,9 @@ struct batch_read {
     bool empty() const { return lines.empty() && overflow_lines == 0; }
 };
 
-// Read one batch: skips leading blank lines, collects CR-stripped request
-// lines until a blank line or EOF, enforcing `limits`. An empty() result
-// means `in` was exhausted before any request line.
+// Read one batch through a batch_reader. An empty() result means `in` was
+// exhausted before any request line.
 batch_read read_batch(std::istream& in, const batch_limits& limits = {});
-
-// Legacy unbounded view of read_batch (tests, simple drivers): just the
-// admitted lines, default limits.
-std::vector<std::string> read_batch_lines(std::istream& in);
 
 // One evaluation request, as parsed from a single NDJSON line.
 struct run_request {
@@ -156,8 +173,8 @@ struct response_row {
     // The service deliberately never sets it — response bytes stay identical
     // with tracing on — but the field round-trips for clients that do.
     u64 trace_id = 0;
-    // In-process only, never serialized: the line's trace so serve_batch can
-    // record serialization spans after evaluate() has closed the root.
+    // In-process only, never serialized: the line's trace, under which
+    // serve_batch records the row's top-level "serialize" span.
     obs::trace_context trace;
     sim::run_outcome outcome;
     // Pre-serialized row (stats rows): when nonempty, to_json() emits it

@@ -10,21 +10,24 @@
 //
 // Batch framing on a stream: one request per line; a blank line (or EOF)
 // ends the batch, and a trailing '\r' is stripped by the framing layer so
-// CRLF clients frame identically (serve::read_batch). serve_stream()
-// loops batches until EOF, flushing after each, which is the stdin/stdout
-// daemon mode of tools/meek_serve. In *framed* mode — the socket transport's
-// wire format, and `meek_serve --framed` — each batch's rows are followed by
-// one blank line, mirroring the request framing, so a client can detect
-// end-of-batch without counting rows.
+// CRLF clients frame identically (serve::batch_reader). serve_stream()
+// loops batches until EOF, which is the stdin/stdout daemon mode of
+// tools/meek_serve. In *framed* mode — the socket transport's wire format,
+// and `meek_serve --framed` — each batch's rows are followed by one blank
+// line, mirroring the request framing, so a client can detect end-of-batch
+// without counting rows.
 //
-// Streaming mode (service_options.streaming): serve_batch reads the batch
-// line by line, dispatches each line's jobs through the executor's
-// completion hook the moment it parses, and emits rows *while later lines
-// are still being read and executed*. Ordering is a prefix reorder window —
-// row k is written once rows 0..k-1 are out and row k is complete — so the
-// byte stream is identical to the buffered path at any thread count; only
-// first-row latency changes. The flush cadence is per drain of completed
-// rows instead of per batch.
+// Pipelined emission: every batch is read line by line, each line's jobs
+// are dispatched the moment it parses, and rows leave while later lines are
+// still being read and executed, through a prefix reorder window — row k
+// leaves once rows 0..k-1 are out and row k is complete — so the bytes are a
+// function of the batch text alone. serve_batch flushes per drained prefix.
+// Pool workers only serialize rows into a per-batch buffer; the bytes are
+// written by the session thread or a per-batch writer thread, so a client
+// that stops reading stalls only its own connection.
+// Two things wait for the batch end: admitted lines retire from the
+// admission queue, and a {"stats":true} row settles only after the batch's
+// counters are added (rows behind it wait with it).
 //
 // Overload behavior: when admission control is configured, each valid
 // request line is offered to the admission_controller at parse time; a shed
@@ -40,8 +43,10 @@
 #include <iosfwd>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "serve/admission.h"
@@ -59,7 +64,6 @@ struct service_options {
     std::size_t outcome_capacity = 256;  // completed-result cache; 0 disables
     batch_limits limits;              // per-batch line/byte buffering caps
     admission_options admission;      // line-level admission control (default off)
-    bool streaming = false;           // pipelined row emission in serve_batch
     // Nonempty clauses => after each batch the service.request_ns burn rate
     // against this spec feeds admission (tighten on violation, recover on
     // health). Independent of any tool-level --slo exit-code check.
@@ -81,17 +85,19 @@ public:
     explicit service(const service_options& opts = {});
 
     // Evaluate one batch of request lines; rows come back ordered by
-    // (request index, repeat).
+    // (request index, repeat). A job that throws settles its slot with an
+    // error row. No batch caps apply: the lines are already in memory.
     std::vector<response_row> evaluate(const std::vector<std::string>& lines,
                                        batch_stats* stats = nullptr);
 
     // Read one blank-line-terminated batch from `in`, evaluate it, and write
-    // one NDJSON row per (request, repeat) to `out` (plus a blank terminator
-    // line when `framed`). Returns false when the connection is finished:
-    // `in` exhausted before any request line, the input stream died
-    // (in.bad(), counted as a stream_error), or `out` failed mid-response (a
-    // client hang-up, counted as a client_abort) — a false return tells
-    // serve_stream to stop looping instead of burning batches nobody reads.
+    // one NDJSON row per (request, repeat) to `out` as the prefix completes
+    // (plus a blank terminator line when `framed`). Returns false when the
+    // connection is finished: `in` exhausted before any request line, the
+    // input stream died (in.bad(), counted as a stream_error), or `out`
+    // failed mid-response (a client hang-up, counted as a client_abort) — a
+    // false return tells serve_stream to stop looping instead of burning
+    // batches nobody reads.
     bool serve_batch(std::istream& in, std::ostream& out, batch_stats* stats = nullptr,
                      bool framed = false);
 
@@ -117,18 +123,23 @@ public:
     obs::metrics_snapshot stats_snapshot() const;
 
 private:
-    // The streaming serve_batch: line-at-a-time read/parse/dispatch with a
-    // prefix-ordered completion emitter.
-    bool serve_batch_streaming(std::istream& in, std::ostream& out,
-                               batch_stats* stats, bool framed);
+    // The one batch routine under evaluate() and serve_batch: pull lines
+    // from `next` until the batch ends, parse/admit/dispatch each as it
+    // arrives, and hand every drained run of in-order rows to `sink` (under
+    // the reorder window's mutex, possibly on a pool worker, so the sink
+    // must never block). Returns the number of request lines read, overflow
+    // lines included.
+    using line_source = function_ref<batch_reader::item(std::string_view*)>;
+    using row_sink = function_ref<void(std::vector<response_row>&&)>;
+    u64 run_batch(line_source next, row_sink sink, batch_stats* stats);
 
     // Feed the latest request-latency window's burn rate into admission.
     void slo_feedback_tick();
 
     service_options opts_;
     // Declared before the executor: jobs drained by the pool's destructor
-    // never touch the registry, but the registry must outlive evaluate()
-    // callers' recording handles anyway — first is simplest.
+    // never touch the registry, but the registry must outlive run_batch's
+    // recording handles anyway — first is simplest.
     obs::metrics_registry metrics_;
     workload_cache cache_;
     outcome_cache outcomes_;

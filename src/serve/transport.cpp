@@ -41,6 +41,15 @@ void set_error(std::string* error, const std::string& what) {
     if (error) *error = what + ": " + std::strerror(errno);
 }
 
+// A waitpid() result as child_process reports it: the exit code, minus the
+// terminating signal, or -1.
+int exit_status(int rc, int status) {
+    if (rc < 0) return -1;
+    if (WIFEXITED(status)) return WEXITSTATUS(status);
+    if (WIFSIGNALED(status)) return -WTERMSIG(status);
+    return -1;
+}
+
 bool parse_port(std::string_view text, u16* port) {
     unsigned value = 0;
     const auto [ptr, ec] =
@@ -118,6 +127,10 @@ public:
         write_fd_ = -1;
     }
 
+    void hang_up() {
+        if (write_is_socket_ && write_fd_ >= 0) ::shutdown(write_fd_, SHUT_RDWR);
+    }
+
 protected:
     int underflow() override {
         if (read_fd_ < 0) return traits_type::eof();
@@ -186,6 +199,8 @@ void fd_stream::close_write() {
     flush();
     buf_->close_write();
 }
+
+void fd_stream::hang_up() { buf_->hang_up(); }
 
 // --------------------------------------------------------------- sockets ---
 
@@ -470,15 +485,7 @@ int child_process::wait() {
         rc = ::waitpid(pid_, &status, 0);
     } while (rc < 0 && errno == EINTR);
     reaped_ = true;
-    if (rc < 0) {
-        status_ = -1;
-    } else if (WIFEXITED(status)) {
-        status_ = WEXITSTATUS(status);
-    } else if (WIFSIGNALED(status)) {
-        status_ = -WTERMSIG(status);
-    } else {
-        status_ = -1;
-    }
+    status_ = exit_status(rc, status);
     return status_;
 }
 
@@ -488,15 +495,7 @@ bool child_process::poll_exited() {
     const int rc = ::waitpid(pid_, &status, WNOHANG);
     if (rc == 0) return false;  // still running
     reaped_ = true;
-    if (rc < 0) {
-        status_ = -1;
-    } else if (WIFEXITED(status)) {
-        status_ = WEXITSTATUS(status);
-    } else if (WIFSIGNALED(status)) {
-        status_ = -WTERMSIG(status);
-    } else {
-        status_ = -1;
-    }
+    status_ = exit_status(rc, status);
     return true;
 }
 

@@ -80,6 +80,11 @@ public:
     // batches" and still drain the last rows.
     void close_write();
 
+    // Abandon a socket: shutdown(SHUT_RDWR) unblocks a thread stuck on it.
+    // Touches no buffer, so another thread may be using the stream. No-op
+    // for pipes.
+    void hang_up();
+
 private:
     class buf;
     std::unique_ptr<buf> buf_;

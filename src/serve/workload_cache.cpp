@@ -1,8 +1,5 @@
 #include "serve/workload_cache.h"
 
-#include <optional>
-#include <utility>
-
 namespace meek::serve {
 
 std::size_t workload_cache::key_hash::operator()(const key& k) const {
@@ -15,84 +12,11 @@ std::size_t workload_cache::key_hash::operator()(const key& k) const {
     return static_cast<std::size_t>(z ^ (z >> 31));
 }
 
-workload_cache::workload_cache(std::size_t capacity) : capacity_(capacity) {}
-
 std::shared_ptr<const generated_workload> workload_cache::workload_for(
     const workload_profile& profile, u64 target_instructions, u64 seed) {
-    if (capacity_ == 0) {
-        // Caching disabled: still count the lookup so hit-rate reads 0, and
-        // generate a private copy.
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.misses;
-        }
-        return std::make_shared<const generated_workload>(
-            generate_workload(profile, target_instructions, seed));
-    }
-
-    const key k{profile_fingerprint(profile), target_instructions, seed};
-    std::optional<std::promise<std::shared_ptr<const generated_workload>>> my_promise;
-    u64 my_id = 0;
-    future_t fut;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = index_.find(k);
-        if (it != index_.end()) {
-            ++stats_.hits;
-            // Touch: move to the LRU front. Joining an in-flight generation
-            // counts as a hit — the program is still built only once.
-            lru_.splice(lru_.begin(), lru_, it->second);
-            fut = it->second->ready;
-        } else {
-            ++stats_.misses;
-            my_promise.emplace();
-            my_id = next_id_++;
-            fut = my_promise->get_future().share();
-            lru_.push_front(entry{k, my_id, fut});
-            index_[k] = lru_.begin();
-            while (lru_.size() > capacity_) {
-                index_.erase(lru_.back().k);
-                lru_.pop_back();
-                ++stats_.evictions;
-            }
-        }
-    }
-
-    if (my_promise) {
-        // We inserted the entry: generate outside the lock so distinct keys
-        // build in parallel, then publish to every waiter.
-        try {
-            my_promise->set_value(std::make_shared<const generated_workload>(
-                generate_workload(profile, target_instructions, seed)));
-        } catch (...) {
-            my_promise->set_exception(std::current_exception());
-            // Forget the poisoned entry (if it has not been evicted and is
-            // still ours) so a later request can retry.
-            std::lock_guard<std::mutex> lock(mutex_);
-            auto it = index_.find(k);
-            if (it != index_.end() && it->second->id == my_id) {
-                lru_.erase(it->second);
-                index_.erase(it);
-            }
-        }
-    }
-    return fut.get();
-}
-
-workload_cache_stats workload_cache::stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
-}
-
-std::size_t workload_cache::size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return lru_.size();
-}
-
-void workload_cache::clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    lru_.clear();
-    index_.clear();
+    return lru_.get(key{profile_fingerprint(profile), target_instructions, seed}, [&] {
+        return generate_workload(profile, target_instructions, seed);
+    });
 }
 
 }  // namespace meek::serve

@@ -7,42 +7,24 @@
 // fingerprint (not its name) plus the dynamic length and generation seed, so
 // a tweaked profile can never alias a stale program.
 //
-// Concurrency: safe to call from any executor worker. The first requester of
-// a key generates while holding only a per-entry future — concurrent
-// requesters of the *same* key block on that future (the program is built
-// exactly once), requesters of different keys generate in parallel. A lookup
-// that joins an in-flight generation counts as a hit.
-//
-// Bounded: LRU over completed and in-flight entries with a fixed capacity;
-// capacity 0 disables caching entirely (every call generates privately),
-// which is how cache-on/off equivalence is tested.
+// Concurrency, bounding and failure handling are serve::once_lru's: safe to
+// call from any executor worker, each program is generated exactly once
+// (joining an in-flight generation counts as a hit), LRU-bounded, and
+// capacity 0 disables caching (every call generates privately).
 #pragma once
 
-#include <future>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
+#include "serve/once_lru.h"
 #include "workloads/generator.h"
 
 namespace meek::serve {
 
-struct workload_cache_stats {
-    u64 hits = 0;
-    u64 misses = 0;
-    u64 evictions = 0;
-
-    u64 lookups() const { return hits + misses; }
-    double hit_rate() const {
-        const u64 total = lookups();
-        return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-    }
-};
+using workload_cache_stats = lru_stats;
 
 class workload_cache final : public workload_source {
 public:
-    explicit workload_cache(std::size_t capacity = 64);
+    explicit workload_cache(std::size_t capacity = 64) : lru_(capacity) {}
 
     // workload_source: returns the cached program, generating it on first
     // request. Propagates a generation exception to every waiter of that key
@@ -50,10 +32,10 @@ public:
     std::shared_ptr<const generated_workload> workload_for(
         const workload_profile& profile, u64 target_instructions, u64 seed) override;
 
-    workload_cache_stats stats() const;
-    std::size_t size() const;
-    std::size_t capacity() const { return capacity_; }
-    void clear();
+    workload_cache_stats stats() const { return lru_.stats(); }
+    std::size_t size() const { return lru_.size(); }
+    std::size_t capacity() const { return lru_.capacity(); }
+    void clear() { lru_.clear(); }
 
 private:
     struct key {
@@ -65,19 +47,8 @@ private:
     struct key_hash {
         std::size_t operator()(const key& k) const;
     };
-    using future_t = std::shared_future<std::shared_ptr<const generated_workload>>;
-    struct entry {
-        key k;
-        u64 id = 0;  // insertion tag: lets a failed producer erase only its own entry
-        future_t ready;
-    };
 
-    const std::size_t capacity_;
-    mutable std::mutex mutex_;
-    std::list<entry> lru_;  // front = most recently used
-    std::unordered_map<key, std::list<entry>::iterator, key_hash> index_;
-    workload_cache_stats stats_;
-    u64 next_id_ = 1;
+    once_lru<key, generated_workload, key_hash> lru_;
 };
 
 }  // namespace meek::serve

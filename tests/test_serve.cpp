@@ -929,10 +929,10 @@ TEST(serve_service, crlf_batches_frame_and_serve_identically_to_lf) {
     EXPECT_EQ(crlf_stats.requests, 2u);
     EXPECT_EQ(crlf_stats.errors, 0u) << "no '\\r' may reach the JSON parser";
 
-    // And the framing layer itself: read_batch_lines hands the parser
-    // CR-free lines.
+    // And the framing layer itself: read_batch hands the parser CR-free
+    // lines.
     std::istringstream raw("{\"a\":1}\r\n\r\n");
-    const std::vector<std::string> lines = serve::read_batch_lines(raw);
+    const std::vector<std::string> lines = serve::read_batch(raw).lines;
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0], "{\"a\":1}");
 }
@@ -1066,6 +1066,9 @@ TEST(serve_service, stats_request_returns_one_observability_row_in_slot) {
     ASSERT_NE(hists, nullptr);
     EXPECT_GE(hists->get("service.parse_ns")->get("count")->as_u64(), 3u);
     EXPECT_GE(hists->get("pool.queue_wait_ns")->get("count")->as_u64(), 2u);
+    // Every line of the batch has its latency sample in the snapshot: the
+    // probe's own and the line held behind it included.
+    EXPECT_EQ(hists->get("service.request_ns")->get("count")->as_u64(), 3u);
 
     // The neighbours are ordinary outcome rows, untouched by the probe.
     EXPECT_TRUE(rows[0].error.empty());
@@ -1096,8 +1099,8 @@ TEST(serve_service, stats_snapshot_carries_cache_and_pool_metrics) {
 
 TEST(serve_service, sim_work_counters_deterministic_across_paths_and_threads) {
     // sim.instructions / sim.big_cycles sum the simulated work behind every
-    // served outcome — cache hits included, buffered or streaming, at any
-    // thread count — so they are part of the deterministic counter set.
+    // served outcome — cache hits included, at any thread count — so they
+    // are part of the deterministic counter set.
     const std::string batch =
         R"({"scenario":"vanilla","workload":"hmmer","instructions":6000,"seed":1})"
         "\n"
@@ -1120,20 +1123,15 @@ TEST(serve_service, sim_work_counters_deterministic_across_paths_and_threads) {
         EXPECT_GT(expect_instr, 0u);
         EXPECT_GT(expect_cycles, 0u);
     }
-    for (const bool streaming : {false, true}) {
-        serve::service_options opts;
-        opts.threads = 4;
-        opts.streaming = streaming;
-        serve::service svc(opts);
+    {
+        serve::service svc({.threads = 4});
         std::istringstream in(batch);
         std::ostringstream out;
         svc.serve_stream(in, out, /*framed=*/false);
         const obs::metrics_snapshot snap = svc.stats_snapshot();
         ASSERT_NE(snap.counter_value("sim.instructions"), nullptr);
-        EXPECT_EQ(*snap.counter_value("sim.instructions"), expect_instr)
-            << "streaming=" << streaming;
-        EXPECT_EQ(*snap.counter_value("sim.big_cycles"), expect_cycles)
-            << "streaming=" << streaming;
+        EXPECT_EQ(*snap.counter_value("sim.instructions"), expect_instr);
+        EXPECT_EQ(*snap.counter_value("sim.big_cycles"), expect_cycles);
     }
 }
 
@@ -1593,6 +1591,35 @@ TEST(serve_service, batch_caps_turn_overflow_lines_into_overloaded_rows) {
     EXPECT_EQ(rows[3].error, "overloaded");
     EXPECT_GT(rows[3].retry_after_ms, 0u);
     EXPECT_EQ(svc.admission().stats().shed_batch_limit, 2u);
+
+    // Overflow stays contiguous: once a line crosses the byte cap, a later
+    // line that would still fit overflows too.
+    serve::service_options byte_opts;
+    byte_opts.threads = 2;
+    byte_opts.limits.max_bytes = 100;
+    serve::service byte_svc(byte_opts);
+    const std::string big = R"({"id":")" + std::string(90, 'x') + R"(",)" + req.substr(1);
+    ASSERT_EQ(big.size(), 159u);
+    ASSERT_EQ(req.size(), 61u);
+    std::istringstream byte_in(big + "\n" + req + "\n");
+    std::ostringstream byte_out;
+    serve::batch_stats byte_stats;
+    byte_svc.serve_batch(byte_in, byte_out, &byte_stats);
+    EXPECT_EQ(byte_stats.rows, 2u);
+    EXPECT_EQ(byte_stats.jobs, 0u);
+    EXPECT_EQ(byte_stats.shed, 2u);
+    std::istringstream byte_rows_in(byte_out.str());
+    std::vector<serve::response_row> byte_rows;
+    while (std::getline(byte_rows_in, line)) {
+        const auto row = serve::parse_response(line);
+        ASSERT_TRUE(row.has_value()) << line;
+        byte_rows.push_back(*row);
+    }
+    ASSERT_EQ(byte_rows.size(), 2u);
+    for (u64 k = 0; k < 2; ++k) {
+        EXPECT_EQ(byte_rows[k].request_index, k);
+        EXPECT_EQ(byte_rows[k].error, "overloaded");
+    }
 }
 
 std::string streaming_identity_input() {
@@ -1608,13 +1635,25 @@ std::string streaming_identity_input() {
     return text;
 }
 
-TEST(serve_service, streaming_bytes_identical_to_buffered_at_any_thread_count) {
+TEST(serve_service, stream_bytes_identical_to_evaluated_rows_at_any_thread_count) {
+    // serve_stream pipelines rows out of the reorder window as jobs finish;
+    // the bytes must still be exactly evaluate()'s rows for the same
+    // batches, at any thread count, with the framing markers in framed mode.
     const std::string input = streaming_identity_input();
-    auto run = [&input](bool streaming, u32 threads, bool framed) {
-        serve::service_options opts;
-        opts.threads = threads;
-        opts.streaming = streaming;
-        serve::service svc(opts);
+    std::istringstream batches_in(input);
+    std::string expected, expected_framed;
+    {
+        serve::service svc({.threads = 1});
+        for (serve::batch_read b = serve::read_batch(batches_in); !b.empty();
+             b = serve::read_batch(batches_in)) {
+            const std::string rows = rows_to_text(svc.evaluate(b.lines));
+            expected += rows;
+            expected_framed += rows + '\n';
+        }
+    }
+    ASSERT_FALSE(expected.empty());
+    auto run = [&input](u32 threads, bool framed) {
+        serve::service svc({.threads = threads});
         std::istringstream in(input);
         std::ostringstream out;
         const serve::batch_stats stats = svc.serve_stream(in, out, framed);
@@ -1622,13 +1661,10 @@ TEST(serve_service, streaming_bytes_identical_to_buffered_at_any_thread_count) {
         EXPECT_EQ(stats.client_aborts, 0u);
         return out.str();
     };
-    const std::string golden = run(/*streaming=*/false, 1, false);
-    ASSERT_FALSE(golden.empty());
-    EXPECT_EQ(run(true, 1, false), golden);
-    EXPECT_EQ(run(true, 4, false), golden);
-    const std::string golden_framed = run(false, 4, true);
-    EXPECT_EQ(run(true, 4, true), golden_framed)
-        << "framing markers must survive streaming too";
+    EXPECT_EQ(run(1, false), expected);
+    EXPECT_EQ(run(4, false), expected);
+    EXPECT_EQ(run(1, true), expected_framed) << "framing markers must survive";
+    EXPECT_EQ(run(4, true), expected_framed) << "framing markers must survive";
 }
 
 // An ostream that accepts nothing: every write fails, the way a closed socket
@@ -1638,26 +1674,19 @@ protected:
     int_type overflow(int_type) override { return traits_type::eof(); }
 };
 
-TEST(serve_service, client_abort_ends_the_connection_in_both_modes) {
+TEST(serve_service, client_abort_ends_the_connection) {
     const std::string req =
         R"({"scenario":"vanilla","workload":"hmmer","instructions":6000})";
-    for (const bool streaming : {false, true}) {
-        serve::service_options opts;
-        opts.threads = 2;
-        opts.streaming = streaming;
-        serve::service svc(opts);
-        closed_streambuf buf;
-        std::ostream dead(&buf);
-        std::istringstream in(req + "\n" + req + "\n\n" + req + "\n");
-        serve::batch_stats stats;
-        EXPECT_FALSE(svc.serve_batch(in, dead, &stats))
-            << "streaming=" << streaming;
-        EXPECT_EQ(stats.client_aborts, 1u) << "streaming=" << streaming;
-        const obs::metrics_snapshot snap = svc.stats_snapshot();
-        ASSERT_NE(snap.counter_value("service.client_aborts"), nullptr);
-        EXPECT_EQ(*snap.counter_value("service.client_aborts"), 1u)
-            << "streaming=" << streaming;
-    }
+    serve::service svc({.threads = 2});
+    closed_streambuf buf;
+    std::ostream dead(&buf);
+    std::istringstream in(req + "\n" + req + "\n\n" + req + "\n");
+    serve::batch_stats stats;
+    EXPECT_FALSE(svc.serve_batch(in, dead, &stats));
+    EXPECT_EQ(stats.client_aborts, 1u);
+    const obs::metrics_snapshot snap = svc.stats_snapshot();
+    ASSERT_NE(snap.counter_value("service.client_aborts"), nullptr);
+    EXPECT_EQ(*snap.counter_value("service.client_aborts"), 1u);
 }
 
 }  // namespace

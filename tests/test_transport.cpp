@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -357,7 +358,7 @@ void run_scripted_worker(serve::listener* lis, int emit_rows, int delay_ms,
                          bool send_terminator) {
     std::unique_ptr<serve::fd_stream> conn = lis->accept();
     if (!conn) return;
-    const std::vector<std::string> lines = serve::read_batch_lines(*conn);
+    const std::vector<std::string> lines = serve::read_batch(*conn).lines;
     if (delay_ms > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
     }
@@ -724,21 +725,18 @@ TEST(transport_accept_pool, tcp_daemon_serves_two_clients_concurrently) {
 // ------------------------------------------- streaming + overload, on-wire ---
 
 TEST(transport_streaming, rows_stream_back_before_the_batch_terminator) {
-    // The pipelining proof: the client sends ONE request line and no
-    // end-of-batch marker, then blocks reading. A buffered service would
-    // still be waiting for the terminator; a streaming one answers the line
-    // the moment its jobs finish. (A regression here hangs, which ctest's
-    // timeout turns into a failure.)
+    // The proof that default serving pipelines: the client sends ONE
+    // request line and no end-of-batch marker, then blocks reading. A
+    // service that buffered the batch would still be waiting for the
+    // terminator; this one answers the line the moment its jobs finish. (A
+    // regression here hangs, which ctest's timeout turns into a failure.)
     serve::endpoint_address addr;
     addr.kind = serve::endpoint_kind::unix_socket;
     addr.path = socket_path("stream_early");
     auto lis = serve::listener::open(addr);
     ASSERT_NE(lis, nullptr);
 
-    serve::service_options sopts;
-    sopts.threads = 2;
-    sopts.streaming = true;
-    serve::service svc(sopts);
+    serve::service svc({.threads = 2});
     std::thread server([&] {
         serve::serve_connections(svc, *lis, {.max_connections = 1, .framed = true});
     });
@@ -797,6 +795,72 @@ TEST(transport_streaming, client_hangup_mid_batch_counts_an_abort) {
     client->flush();
     client.reset();  // full close, nothing read
     server.join();   // a hang here is the regression
+
+    const obs::metrics_snapshot snap = svc.stats_snapshot();
+    ASSERT_NE(snap.counter_value("service.client_aborts"), nullptr);
+    EXPECT_EQ(*snap.counter_value("service.client_aborts"), 1u);
+}
+
+TEST(transport_streaming, a_client_that_stops_reading_stalls_only_its_own_connection) {
+    // Client A sends a batch whose rows cannot fit the socket buffers and
+    // then stops reading without hanging up. A's rows must back up on A's
+    // own connection, never on the executor's worker: client B's batch on
+    // the same daemon still completes. (One pool worker, so a worker
+    // blocked writing to A would stall every job behind it, B's included.)
+    serve::endpoint_address addr;
+    addr.kind = serve::endpoint_kind::unix_socket;
+    addr.path = socket_path("stuck_reader");
+    auto lis = serve::listener::open(addr);
+    ASSERT_NE(lis, nullptr);
+
+    serve::service svc({.threads = 1});
+    std::thread server([&] {
+        serve::serve_connections(
+            svc, *lis, {.max_connections = 2, .framed = true, .accept_threads = 2});
+    });
+
+    // Two lines of 1000 repeats => ~650 KiB of rows, several times a
+    // default unix socket buffer.
+    constexpr u64 kJobsA = 2000;
+    auto stuck = serve::connect_endpoint(lis->address());
+    ASSERT_NE(stuck, nullptr);
+    for (const int seed : {3, 4}) {
+        *stuck << R"({"scenario":"vanilla","workload":"hmmer","instructions":3000,"seed":)"
+               << seed << R"(,"repeats":1000})" << '\n';
+    }
+    *stuck << '\n';
+    stuck->flush();
+
+    // Let A's rows back up: wait until all of its jobs ran or the pool
+    // stopped making progress.
+    for (u64 seen = 0;;) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        const u64 now = svc.pool().scheduler_stats().executed();
+        if (now >= kJobsA || now == seen) break;
+        seen = now;
+    }
+
+    const std::vector<std::string> lines_b = {
+        R"({"scenario":"vanilla","workload":"hmmer","instructions":6000,"seed":5})",
+    };
+    std::promise<std::string> rows_b;
+    std::future<std::string> got_b = rows_b.get_future();
+    std::thread client_b([&] {
+        auto fast = serve::connect_endpoint(lis->address());
+        for (const std::string& line : lines_b) *fast << line << '\n';
+        *fast << '\n';
+        fast->flush();
+        std::string got, row;
+        while (std::getline(*fast, row) && !serve::is_blank_line(row)) got += row + '\n';
+        fast->close_write();
+        rows_b.set_value(got);
+    });
+    EXPECT_EQ(got_b.wait_for(std::chrono::seconds(30)), std::future_status::ready)
+        << "B's batch must not wait on A's unread rows";
+    stuck->hang_up();  // A gives up; the server sees the abort either way
+    client_b.join();
+    EXPECT_EQ(got_b.get(), single_process_rows(lines_b));
+    server.join();
 
     const obs::metrics_snapshot snap = svc.stats_snapshot();
     ASSERT_NE(snap.counter_value("service.client_aborts"), nullptr);
@@ -864,28 +928,42 @@ TEST(gateway, streaming_merge_with_shed_rows_matches_buffered) {
         << "admitted lines must retire at end of batch";
 }
 
-TEST(gateway, streaming_serve_batch_is_byte_identical_to_buffered) {
+TEST(gateway, sub_batches_larger_than_the_pipe_buffers_do_not_deadlock) {
+    // Workers answer each line while still reading the rest, so a gateway
+    // that wrote a whole sub-batch before reading would wedge once ~330 KiB
+    // of requests and ~400 KiB of rows outgrow both pipe buffers. (A
+    // regression here hangs, which ctest's timeout turns into a failure.)
+    std::vector<std::string> lines;
+    for (int i = 0; i < 6000; ++i) {
+        lines.push_back(R"({"scenario":"vanilla","workload":"missing)" +
+                        std::to_string(i) + R"("})");
+    }
+    serve::gateway_options opts;
+    opts.workers = 1;
+    opts.worker_argv = {MEEK_SERVE_BIN, "--framed", "--quiet"};
+    serve::gateway gw(opts);
+    ASSERT_TRUE(gw.ok());
+    serve::gateway_stats stats;
+    EXPECT_EQ(join_rows(gw.evaluate(lines, &stats)), single_process_rows(lines));
+    EXPECT_EQ(stats.worker_failures, 0u);
+}
+
+TEST(gateway, serve_batch_is_byte_identical_to_a_single_process) {
     const std::vector<std::string> lines = small_mixed_batch();
     std::string input;
     for (const std::string& l : lines) input += l + '\n';
 
-    auto run = [&](bool streaming) {
-        serve::gateway_options opts;
-        opts.workers = 2;
-        opts.worker_argv = {MEEK_SERVE_BIN, "--framed", "--quiet"};
-        opts.streaming = streaming;
-        serve::gateway gw(opts);
-        EXPECT_TRUE(gw.ok());
-        std::istringstream in(input);
-        std::ostringstream out;
-        const serve::gateway_stats stats = gw.serve_stream(in, out, /*framed=*/true);
-        EXPECT_EQ(stats.requests, lines.size());
-        EXPECT_EQ(stats.client_aborts, 0u);
-        return out.str();
-    };
-    const std::string buffered = run(false);
-    ASSERT_FALSE(buffered.empty());
-    EXPECT_EQ(run(true), buffered);
+    serve::gateway_options opts;
+    opts.workers = 2;
+    opts.worker_argv = {MEEK_SERVE_BIN, "--framed", "--quiet"};
+    serve::gateway gw(opts);
+    ASSERT_TRUE(gw.ok());
+    std::istringstream in(input);
+    std::ostringstream out;
+    const serve::gateway_stats stats = gw.serve_stream(in, out, /*framed=*/true);
+    EXPECT_EQ(stats.requests, lines.size());
+    EXPECT_EQ(stats.client_aborts, 0u);
+    EXPECT_EQ(out.str(), single_process_rows(lines) + "\n");
 }
 
 }  // namespace

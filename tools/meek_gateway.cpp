@@ -4,7 +4,8 @@
 // (or --requests FILE), shards each batch's request lines cost-aware across
 // the worker pool (sched::balanced_assignment over sim::cost_hint estimates,
 // so the long requests spread instead of piling on one worker), and merges
-// the returned rows preserving global (request, repeat) order — stdout is
+// the returned rows preserving global (request, repeat) order, flushing each
+// request's rows once it and every earlier request have settled — stdout is
 // byte-identical to a single-process meek_serve run of the same input. A
 // worker that dies mid-batch turns into error rows in its slots; the batch
 // never aborts, and the dead worker is respawned (processes) or reconnected
@@ -45,10 +46,7 @@
 //                          section in --stats-json, exit 1 on violation
 //   --quiet                suppress the stderr session summary
 //
-// Streaming and admission control (mirror meek_serve):
-//   --stream               emit each request's merged rows as soon as it
-//                          settles instead of buffering the whole batch; the
-//                          byte stream is identical either way
+// Admission control (mirrors meek_serve):
 //   --admission            enable admission control with default limits
 //   --max-queue-lines N    shed lines past N queued in the current batch
 //   --max-queue-bytes N    shed lines past N bytes buffered
@@ -88,7 +86,7 @@ int usage(const char* argv0) {
                  "          [--requests FILE] [--framed] [--stats-json PATH]\n"
                  "          [--trace-json PATH] [--trace-clock wall|virtual] "
                  "[--slo SPEC] [--quiet]\n"
-                 "          [--stream] [--admission] [--max-inflight N] "
+                 "          [--admission] [--max-inflight N] "
                  "[--max-queue-lines N]\n"
                  "          [--max-queue-bytes N] [--line-rate N] "
                  "[--retry-after-ms N]\n"
@@ -164,8 +162,6 @@ int main(int argc, char** argv) {
             }
         } else if (arg == "--slo") {
             slo_text = next_value("--slo");
-        } else if (arg == "--stream") {
-            opts.streaming = true;
         } else if (arg == "--admission") {
             opts.admission.enabled = true;
         } else if (arg == "--max-inflight") {

@@ -3,7 +3,8 @@
 // Modes:
 //   meek_serve                      stdin/stdout loop: each blank-line-
 //                                   terminated group of NDJSON request lines
-//                                   is one batch; rows stream back per batch.
+//                                   is one batch; each request's rows are
+//                                   written as soon as every earlier row is.
 //   meek_serve --requests FILE      one-shot: serve every batch in FILE,
 //                                   then exit.
 //   meek_serve --listen ADDR        network daemon: accept clients on a
@@ -18,10 +19,6 @@
 //                          0 disables — every request simulates)
 //   --framed               stdio modes: terminate each batch's rows with a
 //                          blank line (what the gateway expects of a worker)
-//   --stream               pipelined streaming: emit each request's rows as
-//                          soon as its jobs finish (prefix-ordered, so the
-//                          byte stream is identical to the batch path; only
-//                          latency changes), flushing per completed request
 //   --admission            enable admission control (with the default limits
 //                          below; any limit flag also enables it)
 //   --max-inflight N       shed when N executor jobs are already in flight
@@ -82,7 +79,7 @@ int usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--requests FILE | --listen ADDR] [--threads N] "
                  "[--cache-capacity N] [--outcome-capacity N] [--framed] "
-                 "[--stream] [--admission] [--max-inflight N] "
+                 "[--admission] [--max-inflight N] "
                  "[--max-queue-lines N] [--max-queue-bytes N] [--line-rate R] "
                  "[--retry-after-ms N] [--batch-max-lines N] "
                  "[--batch-max-bytes N] [--max-connections N] "
@@ -128,8 +125,6 @@ int main(int argc, char** argv) {
             accept_threads = v > 0 ? static_cast<u32>(v) : 1;
         } else if (arg == "--framed") {
             framed = true;
-        } else if (arg == "--stream") {
-            opts.streaming = true;
         } else if (arg == "--admission") {
             opts.admission.enabled = true;
         } else if (arg == "--max-inflight") {
