@@ -25,12 +25,17 @@
 //
 // Options: --quick (CI size: 60k instructions, 2 reps), --instructions N,
 // --workload NAME, --repeat R, --check, --json PATH (default BENCH_soc.json,
-// empty string disables the artifact).
+// empty string disables the artifact). The artifact carries a host record
+// (nproc, CPU model, source commit, UTC date) so committed numbers say where
+// they were measured.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/atomic_file.h"
@@ -158,6 +163,58 @@ void append_json_line(std::string& out, const bench_line& l, bool last) {
     out += buf;
 }
 
+std::string json_escape(const std::string& in) {
+    std::string out;
+    for (char c : in) {
+        if (c == '"' || c == '\\') out += '\\';
+        if (static_cast<unsigned char>(c) >= 0x20) out += c;
+    }
+    return out;
+}
+
+std::string cpu_model() {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0) continue;
+        const std::size_t colon = line.find(':');
+        const std::size_t start =
+            colon == std::string::npos ? colon : line.find_first_not_of(" \t", colon + 1);
+        if (start != std::string::npos) return line.substr(start);
+    }
+    return "unknown";
+}
+
+// The source tree's commit, with a "-dirty" suffix when it has uncommitted
+// changes; "unknown" outside a git checkout.
+std::string source_commit() {
+    const std::string cmd = "git -C \"" MEEK_SOURCE_DIR
+                            "\" describe --always --dirty --abbrev=40 2>/dev/null";
+    std::string out;
+    if (FILE* pipe = popen(cmd.c_str(), "r")) {
+        char buf[128];
+        while (std::fgets(buf, sizeof buf, pipe)) out += buf;
+        pclose(pipe);
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+    return out.empty() ? "unknown" : out;
+}
+
+std::string utc_now() {
+    const std::time_t now = std::time(nullptr);
+    std::tm tm{};
+    gmtime_r(&now, &tm);
+    char buf[32];
+    std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
+    return buf;
+}
+
+std::string host_json() {
+    return "{\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+           ", \"cpu\": \"" + json_escape(cpu_model()) + "\", \"commit\": \"" +
+           json_escape(source_commit()) + "\", \"date\": \"" + utc_now() + "\"}";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -279,6 +336,7 @@ int main(int argc, char** argv) {
 
     if (!json_path.empty()) {
         std::string doc = "{\n  \"schema\": \"meek.bench.soc.v1\",\n";
+        doc += "  \"host\": " + host_json() + ",\n";
         char hdr[256];
         std::snprintf(hdr, sizeof hdr,
                       "  \"workload\": \"%s\",\n  \"instructions\": %llu,\n"

@@ -1,6 +1,8 @@
 #include "fabric/fabric.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace meek {
 namespace {
@@ -13,11 +15,11 @@ bool is_status(packet_kind k) {
 
 fabric_model::fabric_model(const fabric_config& cfg, u32 commit_paths,
                            u32 num_little_cores)
-    : cfg_(cfg), num_cores_(num_little_cores) {
-    buffers_.reserve(commit_paths);
-    for (u32 i = 0; i < commit_paths; ++i) {
-        buffers_.emplace_back(cfg.dc_buffer_depth);
-    }
+    : cfg_(cfg),
+      num_cores_(num_little_cores),
+      paths_(commit_paths),
+      staged_(std::size_t{2} * commit_paths * cfg.dc_buffer_depth),
+      channel_fill_(2 * commit_paths, 0) {
     // Generous per-destination landing queues: the LSL applies the real
     // backpressure; this queue models link pipelining.
     dest_queues_.assign(num_little_cores, bounded_fifo<in_flight>(64));
@@ -37,70 +39,46 @@ cycle_t fabric_model::hop_latency(u32 core) const {
     return 1 + dist;
 }
 
+u32 fabric_model::channel_of(packet_kind kind, u32 path) const {
+    return 2 * (path % paths_) + (is_status(kind) ? 0 : 1);
+}
+
 bool fabric_model::can_accept(packet_kind kind, u32 path) const {
-    const dc_buffer& buf = buffers_[path % buffers_.size()];
-    return is_status(kind) ? !buf.status.full() : !buf.runtime.full();
+    return channel_fill_[channel_of(kind, path)] < cfg_.dc_buffer_depth;
 }
 
 bool fabric_model::push(fwd_packet p, u32 path, cycle_t now_big) {
-    dc_buffer& buf = buffers_[path % buffers_.size()];
-    staged_packet staged;
-    staged.packet = p;
-    staged.order = order_counter_;
-    // Clock-domain crossing: available to the low domain two low cycles after
-    // the big-cycle it was produced in.
-    staged.ready_lo = now_big / 2 + 2;
-    staged.remaining = p.dest;
-    auto& fifo = is_status(p.kind) ? buf.status : buf.runtime;
-    if (!fifo.push(staged)) {
+    if (now_big < last_push_big_) {
+        throw std::logic_error("fabric push at big cycle " + std::to_string(now_big) +
+                               " precedes the previous push at " +
+                               std::to_string(last_push_big_));
+    }
+    const u32 c = channel_of(p.kind, path);
+    if (channel_fill_[c] >= cfg_.dc_buffer_depth) {
         ++stats_.push_rejects;
         return false;
     }
-    ++order_counter_;
+    // Clock-domain crossing: available to the low domain two low cycles after
+    // the big-cycle it was produced in.
+    staged_.push({p, now_big / 2 + 2, p.dest, c});
+    last_push_big_ = now_big;
     ++stats_.packets_pushed;
-    ++staged_count_;
-    stats_.max_dc_depth = std::max(stats_.max_dc_depth, fifo.size());
+    stats_.max_dc_depth = std::max<std::size_t>(stats_.max_dc_depth, ++channel_fill_[c]);
     return true;
 }
 
 cycle_t fabric_model::next_event_lo() const {
-    cycle_t next = k_no_event;
+    cycle_t next = staged_.empty() ? k_no_event : staged_.front().ready_lo;
     if (inflight_count_ != 0) {
         for (const auto& q : dest_queues_) {
             if (!q.empty()) next = std::min(next, q.front().deliver_at_lo);
         }
     }
-    if (staged_count_ != 0) {
-        for (const dc_buffer& buf : buffers_) {
-            for (const auto* fifo : {&buf.status, &buf.runtime}) {
-                if (!fifo->empty()) next = std::min(next, fifo->front().ready_lo);
-            }
-        }
-    }
     return next;
 }
 
-u32 fabric_model::oldest_head(cycle_t now_lo) const {
-    u32 best = k_no_channel;
-    u64 best_order = ~u64{0};
-    for (u32 b = 0; b < buffers_.size(); ++b) {
-        const dc_buffer& buf = buffers_[b];
-        for (u32 ch = 0; ch < 2; ++ch) {
-            const auto& fifo = ch == 0 ? buf.status : buf.runtime;
-            if (fifo.empty()) continue;
-            const staged_packet& head = fifo.front();
-            if (head.ready_lo > now_lo) continue;
-            if (head.order < best_order) {
-                best_order = head.order;
-                best = 2 * b + ch;
-            }
-        }
-    }
-    return best;
-}
-
 void fabric_model::tick_low(cycle_t now_lo) {
-    if (staged_count_ == 0 && inflight_count_ == 0) return;  // nothing anywhere
+    if (drained()) return;  // nothing anywhere
 
     // 1) Complete in-flight deliveries (per-destination, in order).
     if (inflight_count_ != 0) {
@@ -118,14 +96,14 @@ void fabric_model::tick_low(cycle_t now_lo) {
         }
     }
 
-    // 2) Arbitrate transmissions out of the DC-Buffers in global order.
+    // 2) Arbitrate transmissions out of the DC-Buffers in global order: the
+    // ring head, once it has crossed the clock domain.
     const u32 slots = cfg_.kind == fabric_kind::f2 ? cfg_.f2_packets_per_cycle : 1;
     bool any = false;
     for (u32 s = 0; s < slots; ++s) {
-        const u32 src = oldest_head(now_lo);
-        if (src == k_no_channel) break;
-        bounded_fifo<staged_packet>& fifo = channel(src);
-        staged_packet& head = fifo.front();
+        if (staged_.empty() || staged_.front().ready_lo > now_lo) break;
+        staged_packet& head = staged_.front();
+        const u32 src = head.channel;
 
         if (cfg_.kind == fabric_kind::f2) {
             // 1-to-N multicast: one transmission reaches every destination.
@@ -147,8 +125,8 @@ void fabric_model::tick_low(cycle_t now_lo) {
             }
             if (delivered > 1) stats_.multicast_merged += delivered - 1;
             if (head.remaining == 0 && delivered > 0) {
-                fifo.pop();
-                --staged_count_;
+                --channel_fill_[src];
+                staged_.pop();
             }
             if (delivered == 0) break;  // all destinations blocked
         } else {
@@ -165,8 +143,8 @@ void fabric_model::tick_low(cycle_t now_lo) {
             ++inflight_count_;
             head.remaining &= static_cast<dest_mask_t>(~(1u << core));
             if (head.remaining == 0) {
-                fifo.pop();
-                --staged_count_;
+                --channel_fill_[src];
+                staged_.pop();
             }
             // Alternate grants amortize the handshake over short bursts.
             if (src != axi_last_src_) axi_rearb_ = !axi_rearb_was_;

@@ -6,8 +6,16 @@
 // simultaneous status burst) + a Half-duplex Multicast NoC: up to two packet
 // transmissions per low-frequency cycle, 1-to-N multicast (one transmission
 // reaches both the ERCP consumer of segment k and the SRCP consumer of
-// segment k+1), global program-order preservation via an ordering FSM
-// (modeled as lowest-order-first arbitration).
+// segment k+1), global program-order preservation via an ordering FSM.
+//
+// The DC-Buffer channels are modeled as one staging ring in push order plus
+// per-channel occupancy counters (which decide acceptance, rejects and the
+// depth high-water mark). That is exact because pushes are stamped with
+// nondecreasing big cycles -- the commit stage only moves time forward --
+// so CDC-ready times are nondecreasing in push order too, and the oldest
+// ready channel head in global order is always the ring's head or nothing.
+// push() enforces the precondition: a push stamped earlier than the previous
+// accepted push throws std::logic_error.
 //
 // The AXI-Interconnect baseline shares the DC-Buffers but drains them over a
 // 128-bit shared bus: one packet per cycle, no multicast (each destination
@@ -69,6 +77,8 @@ public:
 
     // Commit-side port (big-core clock domain). `path` selects the
     // DC-Buffer; returns false when the relevant channel FIFO is full.
+    // `now_big` must not precede the previous accepted push's (throws
+    // std::logic_error).
     bool can_accept(packet_kind kind, u32 path) const;
     bool push(fwd_packet p, u32 path, cycle_t now_big);
 
@@ -76,7 +86,7 @@ public:
     // the DC-Buffers and complete in-flight deliveries.
     void tick_low(cycle_t now_lo);
 
-    bool drained() const { return staged_count_ == 0 && inflight_count_ == 0; }
+    bool drained() const { return staged_.empty() && inflight_count_ == 0; }
     const fabric_stats& stats() const { return stats_; }
     const fabric_config& config() const { return cfg_; }
 
@@ -91,11 +101,13 @@ public:
 private:
     fabric_model(const fabric_model&) = default;
 
+    // Channel c of the DC-Buffers: commit path c / 2, status when c is even,
+    // run-time when odd.
     struct staged_packet {
         fwd_packet packet;
-        u64 order = 0;
         cycle_t ready_lo = 0;       // after clock-domain crossing
-        dest_mask_t remaining = 0;  // destinations not yet transmitted (AXI)
+        dest_mask_t remaining = 0;  // destinations not yet transmitted
+        u32 channel = 0;
     };
 
     struct in_flight {
@@ -103,38 +115,25 @@ private:
         cycle_t deliver_at_lo = 0;
     };
 
-    struct dc_buffer {
-        bounded_fifo<staged_packet> status;
-        bounded_fifo<staged_packet> runtime;
-        dc_buffer(u32 depth) : status(depth), runtime(depth) {}
-    };
-
     // Per-core NoC hop latency: Manhattan distance in the grid placement.
     cycle_t hop_latency(u32 core) const;
-    // Channel `c` of the DC-Buffers: buffer c / 2, status when c is even,
-    // run-time when odd. oldest_head returns the channel whose ready head
-    // packet is oldest in global order, or k_no_channel.
-    bounded_fifo<staged_packet>& channel(u32 c) {
-        dc_buffer& buf = buffers_[c / 2];
-        return c % 2 == 0 ? buf.status : buf.runtime;
-    }
-    u32 oldest_head(cycle_t now_lo) const;
+    u32 channel_of(packet_kind kind, u32 path) const;
 
     fabric_config cfg_;
     u32 num_cores_;
-    std::vector<dc_buffer> buffers_;
+    u32 paths_;
+    bounded_fifo<staged_packet> staged_;  // every DC-Buffer entry, push order
+    std::vector<u32> channel_fill_;       // occupancy per channel
+    cycle_t last_push_big_ = 0;
     std::vector<bounded_fifo<in_flight>> dest_queues_;  // per little core
     deliver_ref deliver_;        // hot-path dispatch
     deliver_fn deliver_store_;   // owning holder behind set_deliver()
     fabric_stats stats_;
-    u64 order_counter_ = 0;
-    std::size_t staged_count_ = 0;    // packets sitting in DC-Buffers
     std::size_t inflight_count_ = 0;  // packets in per-core landing queues
 
     // AXI arbitration: switching the granted master/channel between
-    // transactions costs a handshake cycle (AR/AW re-arbitration). Channels
-    // are named by index (see oldest_head) so a copied fabric compares
-    // against its own buffers, not the original's.
+    // transactions costs a handshake cycle (AR/AW re-arbitration), keyed on
+    // the granted packet's channel index.
     static constexpr u32 k_no_channel = ~u32{0};
     u32 axi_last_src_ = k_no_channel;
     bool axi_rearb_ = false;

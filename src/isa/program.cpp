@@ -1,6 +1,7 @@
 #include "isa/program.h"
 
 #include <bit>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -67,11 +68,10 @@ void program_builder::add_data(addr_t base, std::vector<u8> bytes) {
 }
 
 void program_builder::add_data_words(addr_t base, const std::vector<u64>& words) {
-    std::vector<u8> bytes;
-    bytes.reserve(words.size() * 8);
-    for (u64 w : words) {
-        for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<u8>(w >> (8 * i)));
-    }
+    static_assert(std::endian::native == std::endian::little,
+                  "data blobs are little-endian byte images of the words");
+    std::vector<u8> bytes(words.size() * sizeof(u64));
+    if (!bytes.empty()) std::memcpy(bytes.data(), words.data(), bytes.size());
     add_data(base, std::move(bytes));
 }
 

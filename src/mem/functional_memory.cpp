@@ -1,5 +1,6 @@
 #include "mem/functional_memory.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace meek {
@@ -27,10 +28,7 @@ functional_memory::page& functional_memory::touch_page(addr_t addr) {
     const u64 num = addr / k_page_bytes;
     if (last_touch_ && last_touch_num_ == num) return *last_touch_;
     auto& slot = pages_[num];
-    if (!slot) {
-        slot = std::make_unique<page>();
-        slot->fill(0);
-    }
+    if (!slot) slot = std::make_unique<page>();  // value-initialized: zeroed
     last_touch_num_ = num;
     last_touch_ = slot.get();
     return *slot;
@@ -75,7 +73,15 @@ void functional_memory::write(addr_t addr, u8 size, u64 value) {
 }
 
 void functional_memory::write_block(addr_t addr, const u8* data, std::size_t len) {
-    for (std::size_t i = 0; i < len; ++i) write_byte(addr + i, data[i]);
+    // One page lookup and one copy per page the block touches.
+    while (len != 0) {
+        const u64 off = addr % k_page_bytes;
+        const std::size_t n = std::min<std::size_t>(len, k_page_bytes - off);
+        std::memcpy(touch_page(addr).data() + off, data, n);
+        addr += n;
+        data += n;
+        len -= n;
+    }
 }
 
 }  // namespace meek

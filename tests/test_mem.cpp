@@ -2,7 +2,10 @@
 // cache model (LRU, MSHR semantics), the DRAM model and the hierarchy.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
+#include "isa/program.h"
 #include "mem/cache.h"
 #include "mem/dram.h"
 #include "mem/functional_memory.h"
@@ -35,6 +38,90 @@ TEST(functional_memory, write_block) {
     const u8 data[] = {1, 2, 3, 4, 5};
     m.write_block(0x2000, data, sizeof data);
     for (u8 i = 0; i < 5; ++i) EXPECT_EQ(m.read_byte(0x2000 + i), i + 1);
+}
+
+// write_block copies page by page; each case is checked byte-wise against
+// read() over the block and one byte either side, plus the page count.
+void expect_block(const functional_memory& m, addr_t addr, const std::vector<u8>& data) {
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        ASSERT_EQ(m.read(addr + i, 1), data[i]) << "offset " << i;
+    }
+    EXPECT_EQ(m.read(addr + data.size(), 1), 0u);
+    if (addr > 0) {
+        EXPECT_EQ(m.read(addr - 1, 1), 0u);
+    }
+}
+
+std::vector<u8> pattern(std::size_t len, u64 seed) {
+    rng r(seed);
+    std::vector<u8> v(len);
+    for (u8& b : v) b = static_cast<u8>(r.range(1, 255));  // nonzero: gaps show
+    return v;
+}
+
+TEST(functional_memory, write_block_unaligned_across_three_pages) {
+    constexpr addr_t page = functional_memory::k_page_bytes;
+    functional_memory m;
+    const addr_t addr = 5 * page - 13;
+    const std::vector<u8> data = pattern(page + 13 + 7, 1);  // ends 7 bytes into page 6
+    m.write_block(addr, data.data(), data.size());
+    expect_block(m, addr, data);
+    EXPECT_EQ(m.allocated_pages(), 3u);
+}
+
+TEST(functional_memory, write_block_ending_at_a_page_boundary) {
+    constexpr addr_t page = functional_memory::k_page_bytes;
+    functional_memory m;
+    const std::vector<u8> data = pattern(page + 100, 2);
+    const addr_t addr = 3 * page - 100;  // last byte is the last byte of page 3
+    m.write_block(addr, data.data(), data.size());
+    expect_block(m, addr, data);
+    EXPECT_EQ(m.allocated_pages(), 2u);  // page 4 is not touched
+}
+
+TEST(functional_memory, write_block_of_zero_length_touches_nothing) {
+    functional_memory m;
+    const u8 byte = 0xAB;
+    m.write_block(0x4000, &byte, 0);
+    m.write_block(0x5000, nullptr, 0);
+    EXPECT_EQ(m.allocated_pages(), 0u);
+    EXPECT_EQ(m.read(0x4000, 1), 0u);
+}
+
+TEST(functional_memory, write_block_over_existing_data_keeps_neighbors) {
+    constexpr addr_t page = functional_memory::k_page_bytes;
+    functional_memory m;
+    const std::vector<u8> before = pattern(2 * page, 3);
+    m.write_block(page, before.data(), before.size());
+    const std::vector<u8> patch = pattern(300, 4);
+    const addr_t at = 2 * page - 150;  // straddles the page 1 / page 2 boundary
+    m.write_block(at, patch.data(), patch.size());
+
+    std::vector<u8> want = before;
+    std::copy(patch.begin(), patch.end(), want.begin() + (at - page));
+    expect_block(m, page, want);
+    EXPECT_EQ(m.allocated_pages(), 2u);
+}
+
+TEST(program_builder, add_data_words_is_little_endian) {
+    program_builder b;
+    const std::vector<u64> words = {0x0807060504030201ull, 0xF0DEBC9A78563412ull, 0};
+    b.add_data_words(0x3000, words);
+    b.add_data_words(0x4000, {});
+    const program prog = b.build();
+    ASSERT_EQ(prog.data.size(), 2u);
+    EXPECT_EQ(prog.data[0].base, 0x3000u);
+    const std::vector<u8> want = {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,
+                                  0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0,
+                                  0,    0,    0,    0,    0,    0,    0,    0};
+    EXPECT_EQ(prog.data[0].bytes, want);
+    EXPECT_TRUE(prog.data[1].bytes.empty());
+
+    functional_memory m;
+    m.write_block(prog.data[0].base, prog.data[0].bytes.data(), prog.data[0].bytes.size());
+    for (std::size_t i = 0; i < words.size(); ++i) {
+        EXPECT_EQ(m.read(0x3000 + 8 * i, 8), words[i]);
+    }
 }
 
 TEST(functional_memory, partial_writes_preserve_neighbors) {
