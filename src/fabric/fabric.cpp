@@ -77,6 +77,16 @@ cycle_t fabric_model::next_event_lo() const {
     return next;
 }
 
+cycle_t fabric_model::next_arrival_lo(u32 core) const {
+    if (!dest_queues_[core].empty()) return dest_queues_[core].front().deliver_at_lo;
+    // Ready times are nondecreasing in push order: the first staged packet
+    // for `core` transmits no earlier than it is ready.
+    for (const staged_packet& s : staged_) {
+        if ((s.remaining >> core) & 1) return s.ready_lo + hop_latency(core);
+    }
+    return k_no_event;
+}
+
 void fabric_model::tick_low(cycle_t now_lo) {
     if (drained()) return;  // nothing anywhere
 

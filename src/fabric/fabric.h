@@ -98,6 +98,11 @@ public:
     static constexpr cycle_t k_no_event = ~cycle_t{0};
     cycle_t next_event_lo() const;
 
+    // Lower bound on the low cycle of the next delivery to `core` from the
+    // packets held now (k_no_event when none is bound for it). Later pushes
+    // queue behind these, so they cannot deliver earlier.
+    cycle_t next_arrival_lo(u32 core) const;
+
 private:
     fabric_model(const fabric_model&) = default;
 

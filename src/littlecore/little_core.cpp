@@ -138,6 +138,33 @@ void little_core::account_parked(cycle_t n) {
     }
 }
 
+cycle_t little_core::advance_to(cycle_t now, cycle_t end) {
+    constexpr cycle_t k_unbounded = ~cycle_t{0};
+    while (now < end) {
+        switch (park_) {
+            case park_state::idle_wait:
+                return end == k_unbounded ? now : end;
+            case park_state::extern_wait:
+                if (end == k_unbounded) return now;
+                account_parked(end - now);
+                return end;
+            case park_state::busy_wait:
+                if (now < park_wake_) {
+                    const cycle_t until = std::min(park_wake_, end);
+                    account_parked(until - now);
+                    now = until;
+                    break;
+                }
+                [[fallthrough]];
+            case park_state::runnable:
+                tick(now++);
+                if (phase_ == checker_phase::report) return now;
+                break;
+        }
+    }
+    return end;
+}
+
 void little_core::assign_segment(const segment_job& job) {
     // MSU: record the application context before the checker takes over.
     saved_app_state_ = state_;
@@ -294,10 +321,13 @@ bool little_core::replay_step(cycle_t now_lo) {
 
     // Instruction fetch through the little I$ (timing only).
     cycle_t earliest = now_lo;
-    {
+    if (const u64 line = state_.pc / cfg_.l1i.line_bytes; line == fetch_hit_line_) {
+        l1i_.count_hit();
+    } else {
         auto access = l1i_.access(state_.pc, false, now_lo,
                                   [&] { return now_lo + k_little_miss_penalty; });
         if (access.accepted && !access.hit) earliest = access.complete_at;
+        fetch_hit_line_ = access.accepted && access.hit ? line : k_no_line;
     }
 
     exec_in in;
@@ -407,6 +437,7 @@ bool little_core::replay_step(cycle_t now_lo) {
 little_core::app_run_result little_core::run_application(u64 max_instructions) {
     app_run_result result;
     if (prog_ == nullptr) return result;
+    fetch_hit_line_ = k_no_line;
 
     cycle_t now = busy_until_;
     while (result.instructions < max_instructions) {

@@ -128,6 +128,39 @@ public:
         if (park_ == park_state::extern_wait) park_ = park_state::runnable;
     }
 
+    // The smallest watermark whose arrival can change what this core does:
+    // a core stalled on the one-behind rule retries that same stall below
+    // its need, and one idle or waiting for status words retries its stall
+    // whatever the watermark (~0). Any step matters to a running core or one
+    // waiting for run-time entries (0).
+    u64 watermark_need() const {
+        if (park_ == park_state::idle_wait) return ~u64{0};
+        if (park_ != park_state::extern_wait) return 0;
+        switch (park_stall_) {
+            case park_stall::watermark: return start_seq_ + replayed_ + 2;
+            case park_stall::srcp: return ~u64{0};
+            default: return 0;
+        }
+    }
+
+    // Whether the running check needs nothing more from outside at
+    // `watermark` or above: the ERCP is complete in the LSL (it is the
+    // segment's last packet, so everything before it is in too) and replay
+    // up to the ERCP compare needs no later commit (one-behind rule). Its
+    // result is then settled, whatever the big core does next.
+    bool inputs_complete(u64 watermark) const {
+        const auto count = lsl_.expected_count();
+        return phase_ != checker_phase::idle && phase_ != checker_phase::report &&
+               lsl_.ercp_ready() && count && start_seq_ + *count + 2 <= watermark;
+    }
+
+    // Runs little cycles [now, end) alone, exactly as that many tick()s with
+    // no external input in between would: parked spans are bulk-accounted
+    // and only runnable cycles (and busy wakes) execute. Returns early, with
+    // the next little cycle, right after the tick that latched a result, and
+    // for an unbounded run (end == ~0) once parked with no wake of its own.
+    cycle_t advance_to(cycle_t now, cycle_t end);
+
     // Fabric delivery port. Returns false if the LSL rejected the packet.
     // Load data is parity-checked on arrival (the paper duplicates/protects
     // the data end-to-end: cache parity is carried through the LSQ and F2).
@@ -185,6 +218,11 @@ private:
 
     cache_model l1i_;
     cache_model l1d_;
+    // I$ line the previous replay fetch hit: still its set's MRU line with no
+    // MSHR, so a fetch from it is a hit without a tag lookup. Reset wherever
+    // l1i_ is accessed otherwise.
+    static constexpr u64 k_no_line = ~u64{0};
+    u64 fetch_hit_line_ = k_no_line;
     load_store_log lsl_;
 
     core_mode mode_ = core_mode::application;

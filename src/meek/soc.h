@@ -12,6 +12,32 @@
 //     enough);
 //   * checker    — an RCP is due but no little core / LSL is free, or the
 //     reserved LSL is full mid-segment.
+//
+// Two low-domain timelines (event-driven mode). Commits only raise the
+// "due" low cycle, the one the lockstep model would have ticked to; the
+// fabric is brought to it at once and the checkers lag behind:
+//   * the fabric runs ahead of the checkers. Its deliveries are buffered per
+//     core with their low cycle. That is exact because an LSL never rejects
+//     one: the DEU fires an RCP as soon as a segment holds lsl_entries()
+//     run-time entries, so a segment never outgrows its LSL (begin() rejects
+//     an LSL with no run-time entry), and the cores feed nothing else back
+//     into the fabric. A rejected buffered arrival throws std::logic_error.
+//   * the checkers catch up only where the big core observes them: RCP
+//     assignment (find_idle_core), the pending-RCP wait, the drain in
+//     finish(), the end of advance() and the stall/quiescence error paths.
+//     With a packet or error hook attached they catch up at every low-domain
+//     advance, so hooks run in the same host order as in lockstep. Each core
+//     then runs alone from event to event (its buffered arrivals, the steps
+//     of a watermark history that gives it the commit watermark as of its
+//     own cycle, and its busy wakes; little_core::advance_to), and results
+//     are applied in (report cycle, core) order, the lockstep order.
+//   * a checker whose inputs are complete (its ERCP is in the LSL and the
+//     one-behind rule no longer binds it) may run ahead of the due cycle to
+//     its result, which is applied once the due cycle reaches it. The
+//     pending-RCP wait and the drain use this; in the wait a single checker
+//     left behind also runs alone up to its next fabric arrival.
+// The exhaustive mode ticks every core on every low cycle in lockstep and
+// is the oracle the event-driven mode is checked against.
 #pragma once
 
 #include <functional>
@@ -136,11 +162,12 @@ public:
         }
     }
 
-    // Low-domain advance strategy. Event-driven (default) jumps over spans
-    // where every checker is parked and the fabric has nothing due, with
-    // bulk-accounted stall counters; exhaustive ticks every low cycle and is
-    // the reference mode (env MEEK_LOW_ADVANCE=exhaustive selects it
-    // globally). Both produce bit-identical results.
+    // Low-domain advance strategy. Event-driven (default) runs the fabric and
+    // the checkers on their own timelines (see the header comment), skipping
+    // spans with nothing due and bulk-accounting stall counters; exhaustive
+    // ticks everything on every low cycle and is the reference mode (env
+    // MEEK_LOW_ADVANCE=exhaustive selects it globally). Both produce
+    // bit-identical results. Select before begin().
     void set_event_driven_low_advance(bool on) { event_driven_ = on; }
     bool event_driven_low_advance() const { return event_driven_; }
 
@@ -166,22 +193,63 @@ private:
         u64 start_seq = 0;     // first instruction of the new segment
     };
 
-    // Advance the low-frequency domain until `big_cycle`; collects checker
-    // results as they appear.
+    // Advance the low-frequency domain until `big_cycle`. Exhaustive mode
+    // ticks everything and collects results as they appear; event-driven
+    // mode raises the due cycle and brings only the fabric to it.
     void advance_low_to(cycle_t big_cycle);
     void tick_low_once();
     void collect_results();
+    void record_result(const segment_result& r);
 
-    // Event-driven advance helpers. next_activity_lo() returns the earliest
-    // low cycle >= low_ticks_done_ at which any state can change (k_never
-    // when the SoC is quiescent and only external input could wake it);
-    // skip_span() jumps to `to_lo` bulk-accounting the parked little cores;
+    // next_activity_lo() returns the earliest low cycle >= low_ticks_done_
+    // at which any state can change (k_never when the SoC is quiescent and
+    // only external input could wake it); the checkers must be caught up.
     // step_low_for_wait() performs one event step inside a wait loop and
     // throws soc_stall_error on quiescence or an exhausted stall budget.
     static constexpr cycle_t k_never = ~cycle_t{0};
     cycle_t next_activity_lo() const;
-    void skip_span(cycle_t to_lo);
     void step_low_for_wait(cycle_t& guard, const char* what);
+
+    // Event-driven timelines. raise_due() moves the due cycle to `to_lo`,
+    // running the fabric alone (deliveries land in arrivals_); run_fabric()
+    // runs it over [from_lo, to_lo) and returns the cycle after its last
+    // tick. catch_up_checkers() brings every checker to the due cycle;
+    // run_checker() runs one core alone from its own cycle to `to_lo`
+    // (k_never: until it reports or nothing can wake it), collecting a
+    // result only once it is due. run_ahead_released_checkers() runs every
+    // checker whose inputs are complete (little_core::inputs_complete) to its
+    // result: nothing the big core does can change that result, which stays
+    // uncollected until the due cycle reaches it.
+    // wait_for_idle_checker() is the pending-RCP wait.
+    struct arrival {
+        cycle_t lo = 0;
+        fwd_packet packet;
+    };
+    struct watermark_step {
+        cycle_t from_lo = 0;  // first low cycle that sees `value`
+        u64 value = 0;
+    };
+    struct checker_report {
+        cycle_t lo = 0;
+        u32 core = 0;
+        segment_result result;
+    };
+    void raise_due(cycle_t to_lo);
+    cycle_t run_fabric(cycle_t from_lo, cycle_t to_lo);
+    void catch_up_checkers();
+    void run_checker(u32 core, cycle_t to_lo);
+    void run_ahead_released_checkers();
+    void wait_for_idle_checker();
+    void publish_watermark(u64 value);
+    bool hooked() const { return packet_ref_ || error_ref_; }
+    // Little cycles before low cycle `lo` (the little clock runs at its own
+    // frequency), and the low cycle whose batch holds little cycle `k`.
+    cycle_t little_at(cycle_t lo) const {
+        return lo * little_freq_mhz_ / cfg_.fabric.freq_mhz;
+    }
+    cycle_t low_of_little(cycle_t k) const {
+        return ((k + 1) * cfg_.fabric.freq_mhz + little_freq_mhz_ - 1) / little_freq_mhz_ - 1;
+    }
 
     // Push helpers that spin the low domain until the fabric accepts,
     // charging the wait to `stall_bucket`. Returns the (possibly later)
@@ -194,10 +262,12 @@ private:
     cycle_t send_status(const arch_snapshot& snap, u32 boundary, dest_mask_t dest,
                         cycle_t now_big, u64 seq);
 
-    int find_idle_core() const;
+    // Catches the checkers up first (their idle state is what it observes).
+    int find_idle_core();
     void assign_segment(u32 core, u32 segment, u64 start_seq);
     cycle_t fire_rcp(const commit_record& rec, cycle_t now_big, bool final_rcp);
-    // Fabric delivery straight into little_core::deliver on this SoC.
+    // Fabric delivery into this SoC's checkers: little_core::deliver in
+    // lockstep, the per-core arrival buffers in event-driven mode.
     fabric_model::deliver_ref deliver_to_littles();
 
     // Every member below is listed in the copy constructor; one added here
@@ -221,10 +291,20 @@ private:
     u32 segment_instrs_ = 0;
     u32 segment_runtime_entries_ = 0;
     u64 segment_start_seq_ = 0;
-    u64 committed_watermark_ = 0;  // shared with little cores (one-behind rule)
+    u64 committed_watermark_ = 0;  // the big core's latest (one-behind rule)
+    u64 watermark_view_ = 0;       // what the checkers read, as of their cycle
     std::optional<pending_rcp> pending_;
     cycle_t extract_busy_until_ = 0;
-    cycle_t low_ticks_done_ = 0;  // number of low cycles already simulated
+    // Low cycles [0, low_ticks_done_) are due: ticked in exhaustive mode; in
+    // event-driven mode the fabric has run them and checker c has run
+    // [0, checker_lo_[c]) (at least all due cycles after a catch-up).
+    cycle_t low_ticks_done_ = 0;
+    std::vector<cycle_t> checker_lo_;
+    cycle_t delivery_lo_ = 0;  // the fabric tick being run (arrival stamp)
+    std::vector<std::vector<arrival>> arrivals_;   // per core, in delivery order
+    std::vector<watermark_step> watermark_steps_;  // since the last catch-up
+    u64 watermark_base_ = 0;                       // in force before the steps
+    std::vector<checker_report> reports_;          // one catch-up's results
 
     u64 little_freq_mhz_ = 2000;  // achievable clock of the little cores
     cycle_t little_ticks_done_ = 0;

@@ -77,6 +77,10 @@ public:
         return {true, false, done + cfg_.hit_latency};
     }
 
+    // Counts a hit the caller proved without a lookup (the line it hit last,
+    // untouched since).
+    void count_hit() { ++stats_.hits; }
+
     bool contains(addr_t addr) const;
     void invalidate_all();
 

@@ -117,6 +117,7 @@ bool save_point_checkpoint(const std::string& path, std::size_t point_index,
             double_bits(r.coverage), r.cycles, r.baseline_cycles, r.probe_detected,
             r.probe_masked, r.stall_collecting, r.stall_forwarding,
             r.stall_checker) > 0;
+    if (!r.error.empty()) ok = std::fprintf(f, "error %s\n", r.error.c_str()) > 0 && ok;
     ok = std::fclose(f) == 0 && ok;
     if (!ok) {
         std::remove(tmp.c_str());
@@ -165,6 +166,12 @@ std::optional<point_result> load_point_checkpoint(const std::string& path,
         r.overhead = bits_double(overhead);
         r.slowdown = bits_double(slowdown);
         r.coverage = bits_double(coverage);
+        // A failed point carries its error on one more line.
+        char line[512];
+        if (std::fscanf(f, " error ") != EOF && std::fgets(line, sizeof line, f) != nullptr) {
+            r.error = line;
+            if (!r.error.empty() && r.error.back() == '\n') r.error.pop_back();
+        }
         out = std::move(r);
     }
     std::fclose(f);
@@ -182,7 +189,8 @@ point_result reduce_point(const design_point& pt, const sim::run_outcome& out,
     r.cycles = out.cycles;
     r.baseline_cycles = baseline_cycles;
     r.skipped = out.skipped;
-    if (r.skipped) return r;
+    r.error = out.error;
+    if (r.skipped || !r.error.empty()) return r;
 
     r.slowdown = baseline_cycles == 0
                      ? 0.0
@@ -332,7 +340,7 @@ rung_eval evaluate_rung(const std::vector<design_point>& points,
         std::vector<std::size_t> probe_idx;
         for (const std::size_t idx : to_eval) {
             if (points[idx].sc.system == sim::system_kind::meek &&
-                !eval.results[idx]->skipped) {
+                !eval.results[idx]->skipped && eval.results[idx]->error.empty()) {
                 probe_idx.push_back(idx);
             }
         }
@@ -377,9 +385,9 @@ rung_eval evaluate_rung(const std::vector<design_point>& points,
 
 // Successive-halving rung-0 score: lower is better. Coverage is not measured
 // on the cheap rung, so promotion ranks the perf/area trade alone; skipped
-// points sort last.
+// and failed points sort last.
 double rung0_score(const point_result& r) {
-    if (r.skipped) return 1e300;
+    if (r.skipped || !r.error.empty()) return 1e300;
     return r.slowdown * (1.0 + r.overhead);
 }
 
@@ -444,12 +452,12 @@ search_result run_search(const std::vector<design_point>& points,
     out.evaluated.reserve(candidates.size());
     for (const std::size_t idx : candidates) out.evaluated.push_back(*rf.results[idx]);
 
-    // Frontier over the non-skipped measurements, translated back to
-    // evaluated-row indices.
+    // Frontier over the non-skipped, non-failed measurements, translated
+    // back to evaluated-row indices.
     std::vector<objectives> objs;
     std::vector<std::size_t> live;
     for (std::size_t i = 0; i < out.evaluated.size(); ++i) {
-        if (out.evaluated[i].skipped) continue;
+        if (out.evaluated[i].skipped || !out.evaluated[i].error.empty()) continue;
         objs.push_back(out.evaluated[i].objs());
         live.push_back(i);
     }
@@ -503,6 +511,7 @@ std::string to_ndjson(const search_result& r, bool frontier_only) {
         w.field("probe_detected", p.probe_detected);
         w.field("probe_masked", p.probe_masked);
         w.field("frontier", on_frontier[i]);
+        if (!p.error.empty()) w.field("error", p.error);
         out += w.str();
         out += '\n';
     }

@@ -85,6 +85,9 @@ struct point_result {
     u64 stall_forwarding = 0;
     u64 stall_checker = 0;
     bool skipped = false;  // e.g. nZDC on a workload its compiler cannot build
+    // Non-empty when the point's run failed (e.g. a configuration the SoC
+    // rejects): reported, never probed and never on the frontier.
+    std::string error;
 
     objectives objs() const { return {area_mm2, slowdown, coverage}; }
 };

@@ -420,6 +420,10 @@ u64 service::run_batch(line_source next, row_sink sink, batch_stats* stats) {
                             p.row.error = "job failed";
                         }
                         ++w.errors;
+                    } else if (!result.error.empty()) {
+                        // A run the simulator aborted is an error row too.
+                        p.row.error = std::move(result.error);
+                        ++w.errors;
                     } else {
                         sim_instructions.add(result.instructions);
                         sim_big_cycles.add(result.cycles);

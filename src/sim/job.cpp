@@ -31,6 +31,7 @@ run_outcome run_meek(const soc_config& cfg, const program& prog) {
     out.instructions = r.big.instructions;
     out.ipc = soc.big_core().stats().ipc();
     out.verified_ok = r.verified_ok;
+    out.error = r.error;
     out.stats = r.soc;
     for (u32 i = 0; i < cfg.num_little_cores; ++i) {
         const little_core_stats& s = soc.little(i).stats();

@@ -52,6 +52,10 @@ struct run_outcome {
     cycle_t checker_compute_cycles = 0;   // busy minus data-wait (Fig. 10)
 
     bool skipped = false;  // nZDC on a workload its compiler cannot build
+
+    // Non-empty when the simulation could not complete (meek_run_result::
+    // error); the counters above then describe no finished run.
+    std::string error;
 };
 
 // Build SoC -> run -> reduce. Safe to call concurrently from executor workers.

@@ -242,6 +242,39 @@ TEST(search_driver, sharded_checkpoints_merge_byte_identical_to_unsharded) {
     std::filesystem::remove_all(dir);
 }
 
+TEST(search_driver, failed_points_are_reported_and_kept_off_the_frontier) {
+    // An 8-byte LSL holds no run-time entry: the SoC rejects that point's
+    // run. It must come back as failed (also through a checkpoint), never as
+    // a zero-slowdown point on the frontier, and is not probed.
+    const std::string dir = ::testing::TempDir() + "meek_search_failed";
+    std::filesystem::remove_all(dir);
+    search::parameter_grid grid;
+    grid.lsl_bytes = {8, 4096};
+    const auto points = search::enumerate_points(grid, /*include_registry=*/false);
+    ASSERT_EQ(points.size(), 2u);
+    search::search_options opts = quick_opts();
+    opts.checkpoint_dir = dir;
+    sim::executor ex(2);
+    const search::search_result r = search::run_search(points, opts, ex);
+    ASSERT_TRUE(r.complete);
+    ASSERT_EQ(r.evaluated.size(), 2u);
+    const search::point_result& bad = r.evaluated[0];
+    ASSERT_NE(bad.name.find("lsl8/"), std::string::npos) << bad.name;
+    EXPECT_NE(bad.error.find("holds no run-time entry"), std::string::npos) << bad.error;
+    EXPECT_EQ(bad.probe_detected + bad.probe_masked, 0u);
+    EXPECT_TRUE(r.evaluated[1].error.empty());
+    EXPECT_EQ(r.frontier, (std::vector<std::size_t>{1}));
+    EXPECT_NE(search::to_ndjson(r, false).find("\"error\":"), std::string::npos);
+
+    opts.resume = true;
+    const search::search_result resumed = search::run_search(points, opts, ex);
+    EXPECT_EQ(resumed.resumed_points, 2u);
+    EXPECT_EQ(resumed.evaluated[0].error, bad.error);
+    EXPECT_EQ(resumed.frontier, r.frontier);
+    EXPECT_EQ(search::to_ndjson(resumed, false), search::to_ndjson(r, false));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(search_driver, checkpoints_from_a_different_search_setup_are_ignored) {
     const std::string dir = ::testing::TempDir() + "meek_search_foreign";
     std::filesystem::remove_all(dir);

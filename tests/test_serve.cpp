@@ -798,6 +798,31 @@ TEST(serve_service, error_rows_keep_their_slot_and_good_requests_still_run) {
     EXPECT_EQ(stats.jobs, 2u);
 }
 
+TEST(serve_service, aborted_runs_become_error_rows_in_their_slot) {
+    // One checker deadlocks the RCP protocol (the pending-RCP wait and the
+    // one-behind rule block each other): the simulator aborts that run, and
+    // the row says so instead of reporting an empty run as a result.
+    const std::vector<std::string> lines = {
+        R"({"scenario":"vanilla","workload":"hmmer","instructions":6000})",
+        R"({"scenario":"meek","cores":1,"workload":"hmmer","instructions":20000})",
+        R"({"id":"ok","scenario":"meek/f2/opt/2","workload":"hmmer","instructions":6000})",
+    };
+    serve::service svc({.threads = 2});
+    serve::batch_stats stats;
+    const std::vector<serve::response_row> rows = svc.evaluate(lines, &stats);
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_TRUE(rows[0].error.empty());
+    EXPECT_EQ(rows[1].request_index, 1u);
+    EXPECT_NE(rows[1].error.find("livelock averted"), std::string::npos) << rows[1].error;
+    const std::string json = serve::to_json(rows[1]);
+    EXPECT_NE(json.find("\"error\":"), std::string::npos) << json;
+    EXPECT_EQ(json.find("\"cycles\""), std::string::npos) << json;
+    EXPECT_TRUE(rows[2].error.empty());
+    EXPECT_GT(rows[2].outcome.cycles, 0u);
+    EXPECT_EQ(stats.errors, 1u);
+    EXPECT_EQ(stats.jobs, 3u);
+}
+
 TEST(serve_service, repeats_fan_out_into_derived_seeds_in_order) {
     const std::vector<std::string> lines = {
         R"({"scenario":"vanilla","workload":"hmmer","instructions":6000,"seed":11,"repeats":3})",

@@ -1,8 +1,12 @@
 // Simulation-kernel hot-path guarantees:
-//   * the event-driven low-domain advance (idle-span skipping + per-core
-//     park fast path) is bit-identical to the exhaustive reference mode that
-//     ticks every little core on every low cycle — compared field-for-field
-//     over the whole meek_run_result, per-core stats included;
+//   * the event-driven low domain (the fabric running ahead of checkers that
+//     catch up in per-core runs) is bit-identical to the exhaustive
+//     reference mode that ticks every little core on every low cycle —
+//     compared field-for-field over the whole meek_run_result, per-core,
+//     fabric and big-core stats included, across generated workloads,
+//     checker counts, DC-Buffer depths, LSL sizes and both fabrics; no LSL
+//     ever rejects a delivery when it holds at least one entry;
+//   * an LSL with no run-time entry is rejected when the run begins;
 //   * a configuration that can provably make no progress (zero-capacity
 //     fabric) surfaces as an explicit run_result error instead of the former
 //     livelock, in both advance modes;
@@ -10,6 +14,10 @@
 //     taken mid-run and finished on its own, are bit-identical to one
 //     continuous run, also when the run is stopped early.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <utility>
 
 #include "isa/assembler.h"
 #include "meek/soc.h"
@@ -312,6 +320,138 @@ TEST(sim_kernel, event_driven_matches_exhaustive_under_fault_injection) {
         EXPECT_EQ(d_ev[i].segment, d_ex[i].segment);
         EXPECT_EQ(d_ev[i].detect_big_cycle, d_ex[i].detect_big_cycle);
     }
+}
+
+// One configuration of the oracle matrix.
+struct oracle_case {
+    const char* workload;
+    u32 cores;
+    u32 depth;
+    u32 lsl_bytes;
+    fabric_kind fabric;
+    u64 little_mhz = 0;  // 0: the tuning's own clock (2 GHz)
+    u64 instructions = 0;  // 0: 2.5k with a one-entry LSL, 9k otherwise
+};
+
+std::string oracle_name(const oracle_case& c) {
+    return std::string(c.workload) + "/c" + std::to_string(c.cores) + "/d" +
+           std::to_string(c.depth) + "/lsl" + std::to_string(c.lsl_bytes) +
+           (c.fabric == fabric_kind::f2 ? "/f2" : "/axi") + "/mhz" +
+           std::to_string(c.little_mhz);
+}
+
+u64 case_length(const oracle_case& c) {
+    if (c.instructions != 0) return c.instructions;
+    return c.lsl_bytes <= 16 ? 2'500 : 9'000;
+}
+
+soc_config oracle_config(const oracle_case& c) {
+    soc_config cfg;
+    cfg.num_little_cores = c.cores;
+    cfg.fabric.dc_buffer_depth = c.depth;
+    cfg.fabric.kind = c.fabric;
+    cfg.little.lsl_bytes = c.lsl_bytes;
+    cfg.little.freq_override_mhz = c.little_mhz;
+    return cfg;
+}
+
+TEST(sim_kernel, event_driven_matches_exhaustive_across_the_config_matrix) {
+    // Every workload meets every checker count, DC-Buffer depth, LSL size
+    // and fabric at least once (a rotation, not the full cross product, to
+    // keep tier-1 fast). A one-entry LSL makes every run-time entry its own
+    // segment, the most RCP- and wait-heavy schedule there is. The last two
+    // cases clock the checkers at and below the fabric's 1.6 GHz, where some
+    // low cycles hold no little cycle.
+    const char* const workloads[] = {"hmmer", "mcf", "swaptions", "dedup"};
+    const u32 cores[] = {2, 4, 8};
+    const u32 depths[] = {1, 2, 16};
+    const u32 lsls[] = {16, 256, 4096};
+    std::vector<oracle_case> cases;
+    for (u32 w = 0; w < 4; ++w) {
+        for (u32 i = 0; i < 6; ++i) {
+            cases.push_back({workloads[w], cores[i % 3], depths[(i + w) % 3],
+                             lsls[(i / 2 + w) % 3],
+                             (i + w) % 2 == 0 ? fabric_kind::f2 : fabric_kind::axi_interconnect});
+        }
+    }
+    cases.push_back({"hmmer", 4, 16, 4096, fabric_kind::f2, 1600});
+    cases.push_back({"swaptions", 4, 2, 256, fabric_kind::axi_interconnect, 1100});
+    // Pending-RCP waits where the newest verifier already holds its whole
+    // ERCP but still waits on the one-behind rule: it must not run ahead.
+    cases.push_back({"swaptions", 3, 16, 16, fabric_kind::f2, 0, 20'000});
+    cases.push_back({"bzip2", 2, 16, 256, fabric_kind::f2, 0, 20'000});
+    std::map<std::pair<std::string, u64>, generated_workload> programs;
+    auto program_for = [&](const char* name, u64 n) -> const program& {
+        auto it = programs.find({name, n});
+        if (it == programs.end()) {
+            it = programs.emplace(std::pair{std::string(name), n},
+                                  generate_workload(*find_profile(name), n, 0xC0FFEE))
+                     .first;
+        }
+        return it->second.prog;
+    };
+    std::vector<const oracle_case*> clean;
+    for (const oracle_case& c : cases) {
+        SCOPED_TRACE(oracle_name(c));
+        const soc_config cfg = oracle_config(c);
+        const program& p = program_for(c.workload, case_length(c));
+
+        meek_soc ev(cfg);
+        ev.set_event_driven_low_advance(true);
+        ev.load_program(p);
+        const meek_run_result r_ev = ev.run();
+        meek_soc ex(cfg);
+        ex.set_event_driven_low_advance(false);
+        ex.load_program(p);
+        const meek_run_result r_ex = ex.run();
+
+        // Two checkers with one-entry LSLs can deadlock the RCP protocol
+        // (the one-behind rule holds both); the modes must agree on that too.
+        if (r_ev.error.empty()) {
+            EXPECT_TRUE(r_ev.verified_ok);
+            clean.push_back(&c);
+        } else {
+            EXPECT_EQ(c.cores, 2u) << r_ev.error;
+        }
+        expect_identical_results(r_ev, r_ex);
+        expect_identical_little_stats(ev, ex, c.cores);
+        expect_identical_fabric_stats(ev, ex);
+        expect_identical_big_core_stats(ev, ex);
+        ASSERT_EQ(ev.detections().size(), ex.detections().size());
+        EXPECT_EQ(ev.fabric().stats().delivery_retries, 0u);
+        EXPECT_EQ(ex.fabric().stats().delivery_retries, 0u);
+    }
+    ASSERT_GE(clean.size(), 24u);
+    // Split and copied runs across the matrix: the catch-up points (end of
+    // advance(), a copy's first catch-up) change nothing.
+    for (std::size_t i = 0; i < clean.size(); i += 5) {
+        const oracle_case& c = *clean[i];
+        SCOPED_TRACE("split/copy " + oracle_name(c));
+        const soc_config cfg = oracle_config(c);
+        const program& p = program_for(c.workload, case_length(c));
+        expect_split_and_copy_match_continuous(cfg, p, /*event_driven=*/true, 1'234);
+    }
+}
+
+TEST(sim_kernel, lsl_without_a_runtime_entry_is_rejected_when_the_run_begins) {
+    // Used to burn ~2e8 delivery retries before a stall-budget error.
+    const program p = loop_program(500);
+    meek_run_result results[2];
+    for (const bool event_driven : {true, false}) {
+        soc_config cfg;
+        cfg.little.lsl_bytes = cfg.little.lsl_entry_bytes - 1;
+        meek_soc soc(cfg);
+        soc.set_event_driven_low_advance(event_driven);
+        soc.load_program(p);
+        const meek_run_result r = soc.run();
+        EXPECT_NE(r.error.find("holds no run-time entry"), std::string::npos) << r.error;
+        EXPECT_TRUE(r.big.truncated);
+        EXPECT_FALSE(r.verified_ok);
+        EXPECT_EQ(r.big.instructions, 0u);
+        EXPECT_EQ(soc.fabric().stats().delivery_retries, 0u);
+        results[event_driven ? 0 : 1] = r;
+    }
+    expect_identical_results(results[0], results[1]);
 }
 
 TEST(sim_kernel, single_core_rcp_deadlock_reports_error_instead_of_livelock) {

@@ -26,7 +26,9 @@
 // stdout carries only result rows (CSV by default, `--format ndjson` for
 // line-delimited JSON; `--all` emits dominated rows too, with a frontier 0/1
 // column) — byte-identical for a given search at any thread count. Progress
-// and session statistics go to stderr.
+// and session statistics go to stderr, with one "# failed: <point>: <error>"
+// line per point whose run failed (such a point is never on the frontier;
+// its NDJSON row carries the error).
 //
 // Grid axes (repeatable; comma-separated values):
 //   --grid cores=2,4,6    little-core counts      --grid lsl=2048,4096  LSL bytes
@@ -304,5 +306,10 @@ int main(int argc, char** argv) {
                  result.frontier.size(), static_cast<unsigned long long>(os.hits),
                  static_cast<unsigned long long>(os.misses), 100.0 * os.hit_rate(),
                  t.min_ms, t.mean_ms, t.max_ms, t.total_ms);
+    for (const search::point_result& p : result.evaluated) {
+        if (!p.error.empty()) {
+            std::fprintf(stderr, "# failed: %s: %s\n", p.name.c_str(), p.error.c_str());
+        }
+    }
     return 0;
 }
