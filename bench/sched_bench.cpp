@@ -28,7 +28,6 @@
 // decimal numbers; --task-ns may be 0 (empty tasks), the others must be
 // positive. Anything else exits 2.
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -37,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "sched/pool.h"
 
 using namespace meek;
@@ -122,25 +122,12 @@ double overhead_ns(const run_result& r, u32 workers, std::size_t tasks,
            static_cast<double>(task_ns) / workers;
 }
 
-// Whole decimal number in [min, max]; anything else (sign, blank, trailing
-// junk, out of range) is false.
-bool parse_count(const std::string& s, unsigned long long min,
-                 unsigned long long max, unsigned long long* out) {
-    if (s.empty() || s[0] < '0' || s[0] > '9') return false;
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || *end != '\0' || v < min || v > max) return false;
-    *out = v;
-    return true;
-}
-
 bool parse_workers(const std::string& csv, std::vector<u32>* out) {
     out->clear();
     std::size_t start = 0;
     for (;;) {
         const std::size_t comma = csv.find(',', start);
-        unsigned long long v = 0;
+        u64 v = 0;
         if (!parse_count(csv.substr(start, comma - start), 1, 1024, &v)) {
             return false;
         }
@@ -168,13 +155,13 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
-        auto count = [&](const char* flag, unsigned long long min,
-                         unsigned long long max) {
+        auto count = [&](const char* flag, u64 min, u64 max) {
             const std::string v = value(flag);
-            unsigned long long n = 0;
+            u64 n = 0;
             if (!parse_count(v, min, max, &n)) {
                 std::fprintf(stderr, "%s: '%s' is not a whole number in [%llu, %llu]\n",
-                             flag, v.c_str(), min, max);
+                             flag, v.c_str(), static_cast<unsigned long long>(min),
+                             static_cast<unsigned long long>(max));
                 std::exit(2);
             }
             return n;

@@ -57,7 +57,7 @@ struct admission_stats {
     u64 shed_queue_lines = 0;
     u64 shed_queue_bytes = 0;
     u64 shed_line_rate = 0;
-    u64 shed_batch_limit = 0;   // read_batch overflow rows (noted, not decided)
+    u64 shed_batch_limit = 0;   // batch_reader overflow rows (noted, not decided)
     u64 slo_tightenings = 0;
     u64 slo_recoveries = 0;
 };
@@ -93,7 +93,7 @@ public:
     void jobs_finished(u64 n);
 
     // Batch-limit overflow rows are shed rows too — they just were decided by
-    // read_batch's caps instead of this controller. Keep one ledger.
+    // batch_reader's caps instead of this controller. Keep one ledger.
     void note_batch_overflow(u64 lines);
 
     // Feed the slo monitor's worst-window burn rate: > 1 tightens the

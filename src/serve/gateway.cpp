@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <istream>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <thread>
 
-#include "common/log.h"
-#include "obs/trace.h"
 #include "sched/placement.h"
-#include "serve/protocol.h"
-#include "sim/job.h"
 
 namespace meek::serve {
 namespace {
@@ -34,17 +28,6 @@ bool rewrite_request_index(std::string* line, u64 global_index) {
     if (end == start) return false;
     line->replace(start, end - start, std::to_string(global_index));
     return true;
-}
-
-// The sharding cost of one request line: the same estimate the executor uses
-// to place the eventual sim jobs, scaled by the request's repeats. Lines that
-// do not parse or resolve cost nothing — the worker answers them with one
-// error row without simulating.
-double line_cost(const parsed_request& parsed) {
-    if (!parsed.ok()) return 0.0;
-    sim::run_spec spec;
-    if (!resolve_request(parsed.request, /*repeat=*/0, &spec).empty()) return 0.0;
-    return sim::cost_hint(spec) * static_cast<double>(parsed.request.repeats);
 }
 
 // Insert ',"trace":{...}' before the closing brace of a request line the
@@ -114,7 +97,16 @@ struct gateway::worker {
     }
 };
 
-gateway::gateway(const gateway_options& opts) : opts_(opts), admission_(opts.admission) {
+gateway::gateway(const gateway_options& opts)
+    : batch_core({.name = "gateway",
+                  .root_span = "gateway.request",
+                  .stage_spans = false,
+                  .slo_latency = "gateway.worker_rt_ns",
+                  .limits = opts.limits,
+                  .admission = opts.admission,
+                  .slo_feedback = opts.slo_feedback}),
+      opts_(opts),
+      worker_rt_ns_(metrics_.get_histogram("gateway.worker_rt_ns")) {
     if (!opts_.endpoints.empty()) {
         for (const endpoint_address& addr : opts_.endpoints) {
             auto w = std::make_unique<worker>();
@@ -204,437 +196,193 @@ std::size_t gateway::revive_workers() {
     return revived;
 }
 
+// The gateway's half of one batch: collect the lines the step left pending,
+// then, once the batch is read, shard them, exchange each sub-batch with its
+// worker, and fill whatever a failed worker still owed.
+class gateway::fan_out final : public batch_core::backend {
+public:
+    explicit fan_out(gateway& gw) : gw_(gw) {}
+
+    void dispatch(window&, pending_line& line) override {
+        // The sharding cost: the executor's estimate for the line's jobs,
+        // times its repeats. A stats probe costs nothing.
+        costs_.resize(line.index + 1, 0.0);
+        if (!line.specs.empty()) {
+            costs_[line.index] = sim::cost_hint(line.specs.front()) *
+                                 static_cast<double>(line.specs.size());
+        }
+        // Verbatim bytes, plus a minted trace context on a line that runs,
+        // so the worker's "request" span parents under ours.
+        std::string wire(line.raw);
+        if (line.minted && !line.specs.empty()) wire = inject_trace_field(wire, line.root);
+        forwarded_.push_back({line.index, std::move(wire), line.root, 0});
+    }
+
+    void finish(window& w, batch_stats* stats) override {
+        const std::size_t num_workers = gw_.workers_.size();
+        const std::size_t revived = gw_.revive_workers();
+        const std::size_t failed_before = num_workers - gw_.alive_workers();
+
+        // Cost-aware sharding over the *live* workers, with every line of the
+        // batch costed (0 for lines settled here): a pure function of (costs,
+        // live set). Which worker owns a line can shift when the pool
+        // degrades, but row bytes and order are functions of the global
+        // index, so the merged output cannot. With no live worker, lines keep
+        // a nominal owner whose slots fill with error rows below.
+        std::vector<std::size_t> alive;
+        for (std::size_t k = 0; k < num_workers; ++k) {
+            if (!gw_.workers_[k]->failed) alive.push_back(k);
+        }
+        costs_.resize(w.lines.size(), 0.0);  // session thread: no lock needed
+        const std::vector<std::size_t> bins =
+            sched::balanced_assignment(costs_, std::max<std::size_t>(alive.size(), 1));
+        std::vector<std::vector<const forwarded*>> owned(num_workers);
+        for (forwarded& f : forwarded_) {
+            if (alive.empty()) {
+                f.owner = num_workers == 0 ? 0 : f.index % num_workers;
+            } else {
+                f.owner = alive[bins[f.index]];
+            }
+            if (num_workers > 0) owned[f.owner].push_back(&f);
+        }
+
+        std::vector<std::jthread> threads;  // joined on unwind too
+        for (std::size_t k = 0; k < num_workers; ++k) {
+            if (owned[k].empty() || gw_.workers_[k]->failed) continue;
+            threads.emplace_back([this, &w, &owned, k] {
+                exchange(w, *gw_.workers_[k], owned[k]);
+            });
+        }
+        for (std::jthread& t : threads) t.join();
+
+        // Fill the slots a failed worker still owed: one error row per
+        // missing (request, repeat), in place, so the batch shape survives
+        // any worker dying.
+        {
+            std::lock_guard lock(w.m);
+            for (const forwarded& f : forwarded_) {
+                line_slot& slot = w.lines[f.index];
+                for (std::size_t r = slot.rows.size() - slot.owed; r < slot.rows.size(); ++r) {
+                    slot.rows[r].error = "gateway: worker " + std::to_string(f.owner) +
+                                         " failed mid-batch";
+                    if (num_workers > 0) ++gw_.workers_[f.owner]->error_rows;
+                }
+                slot.owed = 0;
+            }
+            w.drain();
+        }
+        if (stats) {
+            stats->workers_respawned += revived;
+            // Only failures during this batch; a worker lost earlier in the
+            // session was already counted.
+            stats->worker_failures += (num_workers - gw_.alive_workers()) - failed_before;
+        }
+    }
+
+private:
+    struct forwarded {
+        std::size_t index;  // global request index
+        std::string wire;   // the bytes sent to the worker
+        obs::trace_context root;
+        std::size_t owner;
+    };
+
+    // One worker's sub-batch: write it while reading the rows back — a
+    // worker answers lines while it reads the rest, so writing everything
+    // first deadlocks once the sub-batch and its rows outgrow the pipe or
+    // socket buffers. Each row must fill the next owed slot, in (line,
+    // repeat) order; anything else, or EOF before the end-of-batch marker,
+    // fails the worker.
+    void exchange(window& w, worker& wk, const std::vector<const forwarded*>& owned) {
+        std::streambuf* const link = wk.io()->rdbuf();
+        const auto rt_start = clock::now();
+        obs::tracer& tracer = obs::tracer::instance();
+        const bool tracing = tracer.enabled();
+        // Per-line ticks on the line's own timeline: a worker-rt span never
+        // depends on which worker (or how many) ran the sub-batch.
+        std::vector<u64> rt_begin;
+        if (tracing) {
+            for (const forwarded* f : owned) rt_begin.push_back(tracer.now_ns(f->root.trace_id));
+        }
+        bool wrote = false;
+        std::jthread writer([&] {
+            std::ostream out(link);  // the streambuf's put area, apart from reads
+            for (const forwarded* f : owned) out << f->wire << '\n';
+            out << '\n';
+            out.flush();
+            wrote = out.good();
+        });
+        std::istream io(link);
+        std::size_t at = 0;  // owned[at] is the line the next row fills
+        // Fill the next owed slot with one worker row; false when the row
+        // is not that slot's.
+        const auto take = [&](std::string_view text) {
+            std::string raw{strip_cr(text)};
+            std::optional<response_row> row = parse_response(raw);
+            if (!row || at >= owned.size() || row->request_index != at ||
+                !rewrite_request_index(&raw, owned[at]->index)) {
+                return false;
+            }
+            std::lock_guard lock(w.m);
+            line_slot& slot = w.lines[owned[at]->index];
+            const std::size_t repeat = slot.rows.size() - slot.owed;
+            if (row->repeat != repeat) return false;
+            if (!row->error.empty()) ++wk.error_rows;
+            if (repeat == 0 && row->error == "overloaded") {
+                // The worker shed the line: one row settles it.
+                slot.rows.resize(1);
+                slot.owed = 1;
+            }
+            row->request_index = owned[at]->index;
+            row->raw = std::move(raw);
+            slot.rows[repeat] = std::move(*row);
+            if (--slot.owed > 0) return true;
+            if (tracing) {
+                const obs::trace_context& root = owned[at]->root;
+                const u64 id = root.trace_id;
+                tracer.record(id, obs::derive_span_id(id, root.span_id, "gateway.worker_rt"),
+                              root.span_id, "gateway.worker_rt", rt_begin[at],
+                              tracer.now_ns(id));
+            }
+            ++at;
+            w.drain();
+            return true;
+        };
+        const char* failure = "EOF before end-of-batch marker";
+        std::string line;
+        while (std::getline(io, line)) {
+            if (is_blank_line(line)) {  // end-of-batch marker
+                failure = at == owned.size() ? nullptr : "desynced response stream";
+                break;
+            }
+            if (!take(line)) {
+                failure = "desynced response stream";
+                break;
+            }
+        }
+        if (!failure) gw_.worker_rt_ns_.record(elapsed_ns(rt_start, clock::now()));
+        // A worker we stopped reading may have stopped reading us too.
+        if (failure) wk.hang_up();
+        writer.join();
+        if (!wrote) wk.fail("write to worker failed");
+        if (failure) wk.fail(failure);
+    }
+
+    gateway& gw_;
+    std::vector<double> costs_;          // per request index
+    std::vector<forwarded> forwarded_;  // in request order
+};
+
+u64 gateway::run_batch(line_source next, row_sink sink, batch_stats* stats) {
+    fan_out be(*this);
+    return run_lines(next, sink, stats, be);
+}
+
 std::vector<std::string> gateway::evaluate(const std::vector<std::string>& lines,
                                            gateway_stats* stats) {
     std::vector<std::string> out;
-    evaluate_streamed(lines, stats, [&out](std::vector<std::string>&& rows) {
-        for (std::string& row : rows) out.push_back(std::move(row));
-    });
+    for (const response_row& row : evaluate_rows(lines, stats)) out.push_back(to_json(row));
     return out;
-}
-
-void gateway::evaluate_streamed(const std::vector<std::string>& lines,
-                                gateway_stats* stats, const row_sink& sink) {
-    const std::size_t num_workers = workers_.size();
-    const std::size_t revived = revive_workers();
-    const std::size_t failed_before = num_workers - alive_workers();
-
-    // Per-request bookkeeping, from the gateway's own parse of each line.
-    // The worker runs the same parser, so "how many rows does a healthy
-    // worker owe for this line" is answerable here: one per repeat, except
-    // that any error row settles the request with that single row.
-    struct request_state {
-        std::size_t owner = 0;  // worker index the line was assigned to
-        std::string id;         // echoed into synthesized error rows
-        u64 repeats = 1;
-        u64 error_rows = 0;  // any error row settles the request
-        // Every row the request will ever get is in `rows` (worker answered
-        // past it, or settled locally); the window may hand them to the sink.
-        bool settled = false;
-        std::vector<std::pair<u64, std::string>> rows;  // (repeat, final line)
-    };
-    std::vector<request_state> requests(lines.size());
-
-    // The reorder window over requests: the sink takes request g's rows once
-    // requests 0..g-1 are out and g has settled. Reader threads advance it
-    // concurrently; `emit_mutex` serializes both the window state and the
-    // sink itself.
-    std::mutex emit_mutex;
-    std::size_t next_emit = 0;
-    u64 emitted_rows = 0;
-    const auto drain = [&] {  // emit_mutex held
-        while (next_emit < requests.size() && requests[next_emit].settled) {
-            request_state& rs = requests[next_emit];
-            std::stable_sort(
-                rs.rows.begin(), rs.rows.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-            std::vector<std::string> batch;
-            batch.reserve(rs.rows.size());
-            for (auto& [repeat, line] : rs.rows) batch.push_back(std::move(line));
-            rs.rows.clear();
-            emitted_rows += batch.size();
-            ++next_emit;
-            sink(std::move(batch));
-        }
-    };
-
-    // Tracing, resolved once per batch: the gateway is the outermost entry
-    // point, so each line gets a root "gateway.request" span (trace adopted
-    // from an incoming "trace" field, minted otherwise) and — for lines that
-    // parse — the context is injected into the forwarded bytes so the
-    // worker's own "request" span parents under ours. Virtual-clock ticks
-    // run per line timeline, so exported timestamps are worker-count
-    // independent.
-    obs::tracer& tracer = obs::tracer::instance();
-    const bool tracing = tracer.enabled();
-    const u64 batch_seq = tracing ? batch_seq_.fetch_add(1) : batch_seq_.load();
-    struct line_trace {
-        obs::trace_context root;  // {trace id, root "gateway.request" span}
-        u64 parent_span = 0;      // adopted caller span (0 when minted)
-        u64 root_begin = 0;
-        u64 worker_rt_begin = 0;
-    };
-    std::vector<line_trace> line_traces(tracing ? lines.size() : 0);
-    std::vector<bool> inject(lines.size(), false);
-
-    // Pass 1: parse every line once — id/repeats for error-row synthesis,
-    // cost for the sharding below. A blank line (possible through the
-    // evaluate() API; the stream path filters them) must never reach a
-    // worker — it would read as that worker's batch terminator and desync
-    // the stream — so it is settled locally with the same error row a
-    // single-process service would emit.
-    std::vector<double> costs(lines.size(), 0.0);
-    std::vector<u64> admitted_bytes;  // queue accounting to retire at the end
-    u64 shed = 0;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        request_state& rs = requests[i];
-        const parsed_request parsed = parse_request(strip_cr(lines[i]));
-        if (parsed.ok()) {
-            rs.id = parsed.request.id;
-            rs.repeats = parsed.request.repeats;
-            // Admission gate, at parse time: a shed line settles locally with
-            // one overloaded row and is never forwarded — rejected work must
-            // not spend worker capacity. Lines that do not parse are free
-            // (the worker answers them with one error row, no simulation),
-            // and stats probes stay free for the same reason as in
-            // serve::service.
-            const admission_controller::decision gate =
-                admission_.admit_line(lines[i].size(), rs.repeats);
-            if (!gate.admit) {
-                rs.settled = true;
-                ++rs.error_rows;
-                ++shed;
-                rs.rows.emplace_back(
-                    0, to_json(overloaded_row(i, gate.retry_after_ms, rs.id)));
-            } else {
-                admitted_bytes.push_back(lines[i].size());
-            }
-        }
-        if (!rs.settled) costs[i] = line_cost(parsed);  // shed lines cost nothing
-        if (tracing) {
-            line_trace& lt = line_traces[i];
-            u64 trace_id = 0;
-            if (parsed.ok() && parsed.request.trace) {
-                trace_id = parsed.request.trace->trace_id;
-                lt.parent_span = parsed.request.trace->span_id;
-            } else {
-                trace_id = obs::mint_trace_id(batch_seq, i);
-                // Only lines the gateway verified parse get the context
-                // injected: appending to a malformed or stats line would
-                // change what the worker answers.
-                inject[i] = parsed.ok();
-            }
-            lt.root.trace_id = trace_id;
-            lt.root.span_id =
-                obs::derive_span_id(trace_id, lt.parent_span, "gateway.request");
-            lt.root_begin = tracer.now_ns(trace_id);
-        }
-        if (is_blank_line(lines[i])) {
-            response_row err;
-            err.request_index = i;
-            err.error = parsed.error;  // "bad json: ...", as the worker would say
-            rs.settled = true;
-            ++rs.error_rows;
-            rs.rows.emplace_back(0, to_json(err));
-        }
-    }
-
-    // The bytes forwarded to workers: verbatim, except for the injected
-    // trace context when tracing.
-    std::vector<std::string> traced_lines;
-    if (tracing) {
-        traced_lines.reserve(lines.size());
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-            traced_lines.push_back(inject[i]
-                                       ? inject_trace_field(lines[i], line_traces[i].root)
-                                       : lines[i]);
-        }
-    }
-    const std::vector<std::string>& wire_lines = tracing ? traced_lines : lines;
-
-    // Pass 2: cost-aware sharding over the *live* workers. The assignment is
-    // a pure function of (costs, live set), so for a healthy pool it never
-    // depends on runtime timing; which worker owns a line can shift when the
-    // pool degrades, but row bytes and order are functions of the global
-    // index, so the merged output cannot. With no live worker at all, lines
-    // keep a nominal owner whose slots the synthesis below fills with error
-    // rows.
-    std::vector<std::size_t> alive;
-    for (std::size_t k = 0; k < num_workers; ++k) {
-        if (!workers_[k]->failed) alive.push_back(k);
-    }
-    std::vector<std::vector<std::size_t>> owned(num_workers);  // global indices
-    const std::vector<std::size_t> bins =
-        sched::balanced_assignment(costs, std::max<std::size_t>(alive.size(), 1));
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        request_state& rs = requests[i];
-        if (alive.empty()) {
-            rs.owner = num_workers == 0 ? 0 : i % num_workers;
-        } else {
-            rs.owner = alive[bins[i]];
-        }
-        if (!rs.settled && num_workers > 0) {  // not settled locally
-            owned[rs.owner].push_back(i);
-        }
-    }
-
-    // Requests settled locally (blank lines, admission shed) at the head of
-    // the batch can stream out before any worker responds.
-    {
-        std::lock_guard lock(emit_mutex);
-        drain();
-    }
-
-    // Fan the sub-batches out, one thread per live worker: write the framed
-    // sub-batch while reading rows until the blank end-of-batch marker. Each
-    // row is credited to its request as it arrives — remap the worker-local
-    // index, rewrite it in the raw line, bucket by (global request, repeat)
-    // — and, since a worker answers its sub-batch in order, a row for local
-    // index j settles every owned request before j; the marker settles them
-    // all. Settling advances the emit window, so completed requests stream
-    // while other workers are still computing. A row that does not parse or
-    // points outside the sub-batch means the stream is not trustworthy
-    // beyond this point — fail the worker and let the slot synthesis below
-    // cover whatever it still owed.
-    std::vector<std::thread> threads;
-    for (std::size_t k = 0; k < num_workers; ++k) {
-        if (owned[k].empty() || workers_[k]->failed) continue;
-        threads.emplace_back([this, k, &owned, &wire_lines, &requests, tracing,
-                              &line_traces, &tracer, &emit_mutex, &drain] {
-            worker& w = *workers_[k];
-            std::streambuf* const link = w.io()->rdbuf();
-            const auto rt_start = std::chrono::steady_clock::now();
-            const auto note_rt = [this, rt_start] {
-                const auto d = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - rt_start);
-                worker_rt_ns_.record(d.count() > 0 ? static_cast<u64>(d.count()) : 0);
-            };
-            if (tracing) {
-                // Per-line ticks on the line's own timeline: the values a
-                // worker-rt span reads never depend on which worker (or how
-                // many) ran the sub-batch.
-                for (const std::size_t g : owned[k]) {
-                    line_traces[g].worker_rt_begin =
-                        tracer.now_ns(line_traces[g].root.trace_id);
-                }
-            }
-            // Write while reading: a worker answers lines while it reads the
-            // rest, so writing everything first deadlocks once the sub-batch
-            // and its rows outgrow the pipe or socket buffers. Each direction
-            // gets its own stream (the streambuf's get/put areas are disjoint).
-            bool wrote = false;
-            std::thread writer([&] {
-                std::ostream out(link);
-                for (const std::size_t g : owned[k]) out << wire_lines[g] << '\n';
-                out << '\n';
-                out.flush();
-                wrote = out.good();
-            });
-            std::istream io(link);
-            // Local indices < settled_upto have every row they will get.
-            std::size_t settled_upto = 0;
-            const auto settle_to = [&](std::size_t local_end) {  // emit_mutex held
-                for (; settled_upto < local_end && settled_upto < owned[k].size();
-                     ++settled_upto) {
-                    requests[owned[k][settled_upto]].settled = true;
-                }
-            };
-            const char* failure = "EOF before end-of-batch marker";
-            std::string line;
-            while (std::getline(io, line)) {
-                if (is_blank_line(line)) {  // end-of-batch marker
-                    {
-                        std::lock_guard lock(emit_mutex);
-                        settle_to(owned[k].size());
-                        drain();
-                    }
-                    note_rt();
-                    if (tracing) {
-                        for (const std::size_t g : owned[k]) {
-                            const line_trace& lt = line_traces[g];
-                            const u64 id = lt.root.trace_id;
-                            tracer.record(id,
-                                          obs::derive_span_id(id, lt.root.span_id,
-                                                              "gateway.worker_rt"),
-                                          lt.root.span_id, "gateway.worker_rt",
-                                          lt.worker_rt_begin, tracer.now_ns(id));
-                        }
-                    }
-                    failure = nullptr;
-                    break;
-                }
-                std::string raw{strip_cr(line)};
-                const std::optional<response_row> row = parse_response(raw);
-                const std::size_t local = row ? row->request_index : owned[k].size();
-                if (local >= owned[k].size() ||
-                    !rewrite_request_index(&raw, owned[k][local])) {
-                    failure = "desynced response stream";
-                    break;
-                }
-                std::lock_guard lock(emit_mutex);
-                settle_to(local);
-                request_state& rs = requests[owned[k][local]];
-                if (!row->error.empty()) {
-                    ++rs.error_rows;
-                    ++w.error_rows;
-                }
-                rs.rows.emplace_back(row->repeat, std::move(raw));
-                drain();
-            }
-            // A worker we stopped reading may have stopped reading us too.
-            if (failure) w.hang_up();
-            writer.join();
-            if (!wrote) w.fail("write to worker failed");
-            if (failure) w.fail(failure);
-        });
-    }
-    for (std::thread& t : threads) t.join();
-
-    // Fill the slots a failed worker still owed: one error row per missing
-    // (request, repeat), in place, so the batch shape survives any worker
-    // dying — the contract that makes the gateway safe to put in front of a
-    // long-running campaign. Requests that already settled (or streamed out)
-    // are complete by construction and untouched.
-    for (std::size_t g = 0; g < requests.size(); ++g) {
-        request_state& rs = requests[g];
-        if (rs.settled) continue;
-        if (rs.error_rows > 0) {
-            rs.settled = true;  // its single error row arrived; nothing owed
-            continue;
-        }
-        const bool owner_failed = num_workers == 0 || workers_[rs.owner]->failed;
-        if (!owner_failed) {
-            rs.settled = true;  // defensive: a live owner's marker settled it
-            continue;
-        }
-        // A desynced stream can also carry duplicate or out-of-range repeat
-        // indices; keep the first row per valid slot and drop the rest, so
-        // the one-row-per-(request, repeat) shape holds no matter what the
-        // dying worker emitted.
-        std::vector<bool> have(rs.repeats, false);
-        std::vector<std::pair<u64, std::string>> kept;
-        kept.reserve(rs.rows.size());
-        for (auto& [repeat, line] : rs.rows) {
-            if (repeat < rs.repeats && !have[repeat]) {
-                have[repeat] = true;
-                kept.emplace_back(repeat, std::move(line));
-            }
-        }
-        rs.rows = std::move(kept);
-        for (u64 r = 0; r < rs.repeats; ++r) {
-            if (have[r]) continue;
-            response_row err;
-            err.request_index = g;
-            err.repeat = r;
-            err.id = rs.id;
-            err.error = "gateway: worker " + std::to_string(rs.owner) +
-                        " failed mid-batch";
-            ++rs.error_rows;
-            if (num_workers > 0) ++workers_[rs.owner]->error_rows;
-            rs.rows.emplace_back(r, to_json(err));
-        }
-        rs.settled = true;
-    }
-
-    // Final drain: everything has settled, so this flushes the remainder of
-    // the window in global (request, repeat) order.
-    u64 error_rows = 0;
-    {
-        std::lock_guard lock(emit_mutex);
-        drain();
-        for (const request_state& rs : requests) error_rows += rs.error_rows;
-    }
-
-    // Close every line's root span now that its rows are merged.
-    if (tracing) {
-        for (const line_trace& lt : line_traces) {
-            tracer.record(lt.root.trace_id, lt.root.span_id, lt.parent_span,
-                          "gateway.request", lt.root_begin,
-                          tracer.now_ns(lt.root.trace_id));
-        }
-    }
-
-    for (const u64 bytes : admitted_bytes) admission_.retire_line(bytes);
-    total_errors_ += error_rows;
-    total_rows_ += emitted_rows;
-    if (stats) {
-        stats->requests += lines.size();
-        stats->rows += emitted_rows;
-        stats->errors += error_rows;
-        stats->shed += shed;
-        stats->workers_respawned += revived;
-        // Only failures that happened during this batch; a worker lost
-        // earlier in the session was already counted.
-        stats->worker_failures += (num_workers - alive_workers()) - failed_before;
-    }
-}
-
-bool gateway::serve_batch(std::istream& in, std::ostream& out, gateway_stats* stats,
-                          bool framed) {
-    const batch_read batch = read_batch(in, opts_.limits);
-    if (batch.stream_error) {
-        if (stats) stats->stream_errors += 1;
-        MEEK_LOG(warn,
-                 "gateway: input stream died (I/O error, not EOF) after %zu lines",
-                 batch.lines.size());
-    }
-    if (batch.empty()) return false;
-
-    bool aborted = false;
-    const auto write_rows = [&](std::vector<std::string>&& rows) {
-        if (aborted) return;
-        for (const std::string& row : rows) out << row << '\n';
-        out.flush();
-        if (!out) {  // client hung up mid-response
-            aborted = true;
-            if (stats) stats->client_aborts += 1;
-            MEEK_LOG(warn, "gateway: client aborted mid-response");
-        }
-    };
-    evaluate_streamed(batch.lines, stats, write_rows);
-
-    // Batch-cap overflow tail: in-slot overloaded rows past the evaluated
-    // indices, exactly as serve::service settles them.
-    if (batch.overflow_lines > 0) {
-        const u64 retry = admission_.options().retry_after_ms;
-        std::vector<std::string> tail;
-        tail.reserve(batch.overflow_lines);
-        for (u64 k = 0; k < batch.overflow_lines; ++k) {
-            tail.push_back(to_json(overloaded_row(batch.lines.size() + k, retry)));
-        }
-        write_rows(std::move(tail));
-        admission_.note_batch_overflow(batch.overflow_lines);
-        total_rows_ += batch.overflow_lines;
-        total_errors_ += batch.overflow_lines;
-        if (stats) {
-            stats->requests += batch.overflow_lines;
-            stats->rows += batch.overflow_lines;
-            stats->errors += batch.overflow_lines;
-            stats->shed += batch.overflow_lines;
-        }
-    }
-
-    // The end-of-batch marker is one empty row; unframed, just the last flush.
-    write_rows(framed ? std::vector<std::string>{""} : std::vector<std::string>{});
-    slo_feedback_tick();
-    return !aborted && !batch.stream_error;
-}
-
-gateway_stats gateway::serve_stream(std::istream& in, std::ostream& out, bool framed) {
-    gateway_stats total;
-    while (serve_batch(in, out, &total, framed)) {
-    }
-    return total;
-}
-
-void gateway::slo_feedback_tick() {
-    if (opts_.slo_feedback.clauses.empty() || !admission_.enabled()) return;
-    std::lock_guard lock(slo_mutex_);
-    slo_monitor_.observe(worker_rt_ns_.snapshot());
-    const std::vector<obs::log_histogram> windows = slo_monitor_.windows();
-    const obs::slo_report report = obs::evaluate_slo_windows(
-        opts_.slo_feedback, windows, total_errors_, total_rows_);
-    admission_.observe_burn_rate(report.max_burn_rate);
 }
 
 void gateway::contribute_metrics(obs::metrics_snapshot& snap,

@@ -1,74 +1,40 @@
 // The sharding gateway: a front-end that makes a pool of meek_serve workers
-// look like one service.
+// look like one service. It runs the same batch core as serve::service
+// (serve/batch_core.h) — framing, the line step, admission, the reorder
+// window, the stream front — so lines that parse or resolve to an error, or
+// that admission or the batch caps shed, settle here with the bytes a
+// single-process service emits and never reach a worker. What differs:
 //
-// One logical batch of request lines is sharded *cost-aware* across the live
-// worker endpoints: each line's estimated cost (sim::cost_hint of its
-// resolved spec, times its repeats) feeds sched::balanced_assignment, so one
-// worker does not end up owning all the long requests while the others idle
-// — the same placement rule the executor uses for its own deques. On a batch
-// of equal-cost lines the assignment degenerates to the old round-robin.
-// Each worker evaluates its sub-batch concurrently, and the returned row
-// streams are merged back preserving the global (request, repeat) order —
-// byte-identical to what a single-process serve::service would emit for the
-// same batch, because row content and order are functions of the request
-// index, never of which worker ran it. The only rewrite on the way back is
-// the "request" index, which is translated from the worker's sub-batch
-// numbering to the global one; every other byte of a worker row passes
-// through untouched.
+// Sharding: once the whole batch is read, the remaining lines are sharded
+// *cost-aware* across the live workers: each line's estimated cost
+// (sim::cost_hint of its resolved spec, times its repeats) feeds
+// sched::balanced_assignment, a pure function of (costs, live workers); on a
+// batch of equal-cost lines it degenerates to round-robin.
 //
-// Workers are either child processes (`meek_serve --framed --quiet` over
-// stdin/stdout pipes) or remote framed socket endpoints (`meek_serve
-// --listen`). Worker batches are framed — rows then one blank line — so the
-// gateway can detect end-of-batch without counting rows, and a worker that
-// dies mid-batch (EOF before the terminator) is detected deterministically:
-// every (request, repeat) slot the dead worker still owed becomes an error
-// row in its slot, and the rest of the batch is unaffected.
+// Merge: each worker answers its sub-batch in order, so its rows are checked
+// against the slots they fill — the next owed (line, repeat), or one
+// "overloaded" row settling a line the worker shed. The only rewrite is the
+// "request" index, translated from the worker's sub-batch numbering to the
+// global one; every other byte passes through. A row that breaks this order,
+// or a stream that ends early, fails the worker: every slot it still owed
+// becomes an in-slot error row and the rest of the batch is unaffected.
 //
-// Worker lifecycle between batches: before sharding, every process worker is
-// probed (waitpid WNOHANG) so one that crashed after a clean batch is caught
-// up front, and every failed worker is revived — process workers respawned
-// from the original argv, endpoint workers reconnected. A worker that cannot
-// be revived is evicted from the assignment: its share is redistributed over
-// the live workers instead of turning into error rows, and further revival
-// attempts back off exponentially (in batches, capped) so one unreachable
-// host's blocking connect cannot stall every batch of the session. Only when
-// *no* worker is alive do slots come back as error rows.
+// Workers are child processes (`meek_serve --framed --quiet` over stdio
+// pipes) or framed socket endpoints (`meek_serve --listen`). Before each
+// batch, process workers are probed for silent exits and failed workers are
+// revived (respawned or reconnected); a worker that cannot be revived is
+// evicted from the assignment with exponential backoff, in batches, on
+// further attempts. Only when *no* worker is alive do slots come back as
+// error rows.
 //
-// The gateway never simulates and never inspects outcome fields — protocol
-// framing, cost estimation, sharding, index rewriting, order-preserving
-// merge.
-//
-// Emission: serve_batch hands each request's merged rows to the client as
-// soon as that request *settles* — its worker has answered every row it
-// owes (workers answer their sub-batches in order, so a row for a later
-// sub-batch line settles every earlier one) or it was settled locally (blank
-// line, admission shed) — advancing a global prefix window and flushing per
-// settled run, so the byte stream is a function of the batch alone; shed
-// rows at the head of the batch go out before any worker responds.
-//
-// Overload behavior mirrors serve::service: with admission configured, each
-// parseable line is offered to the admission_controller at parse time and a
-// shed line settles locally with one in-slot overloaded row (it is never
-// forwarded — an overloaded front-end must not spend worker capacity on work
-// it is rejecting). Worker-emitted "overloaded" rows pass through untouched,
-// like every other error row. The per-batch buffering caps and the
-// SLO-feedback loop (burn rate over the worker round-trip histogram) work as
-// in serve::service.
+// The SLO feedback loop reads the worker round-trip histogram.
 #pragma once
 
-#include <atomic>
-#include <functional>
-#include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "obs/histogram.h"
-#include "obs/metrics.h"
-#include "obs/slo.h"
-#include "serve/admission.h"
-#include "serve/protocol.h"
+#include "serve/batch_core.h"
 #include "serve/transport.h"
 
 namespace meek::serve {
@@ -84,32 +50,21 @@ struct gateway_options {
     std::vector<endpoint_address> endpoints;
 
     batch_limits limits;          // per-batch line/byte buffering caps
-    admission_options admission;  // front-end admission control (default off;
-                                  // the in-flight-jobs cap is inert here —
-                                  // the gateway runs no jobs of its own)
+    admission_options admission;  // front-end admission control (default off)
     // Nonempty clauses => after each batch the worker round-trip burn rate
     // against this spec feeds admission (tighten on violation, recover).
     obs::slo_spec slo_feedback;
 };
 
-struct gateway_stats {
-    u64 requests = 0;          // lines sharded
-    u64 rows = 0;              // rows merged (includes error rows)
-    u64 errors = 0;            // error rows among them (worker + protocol errors)
-    u64 worker_failures = 0;   // workers that died or desynced mid-batch
-    u64 workers_respawned = 0; // failed workers revived between batches
-    u64 shed = 0;              // lines settled locally with overloaded rows
-    u64 stream_errors = 0;     // batches whose input stream died (in.bad())
-    u64 client_aborts = 0;     // batches whose output stream died mid-response
-};
+using gateway_stats = batch_stats;
 
-class gateway {
+class gateway : public batch_core {
 public:
     // Spawns / connects the pool. A worker that cannot be brought up is
     // recorded as failed (revival is retried before every batch) rather than
     // aborting the gateway; `ok()` is false only when *no* worker came up.
     explicit gateway(const gateway_options& opts);
-    ~gateway();
+    ~gateway() override;
 
     bool ok() const { return alive_workers() > 0; }
     std::size_t worker_count() const { return workers_.size(); }
@@ -119,26 +74,6 @@ public:
     // row per (request, repeat) in global order, ready to print.
     std::vector<std::string> evaluate(const std::vector<std::string>& lines,
                                       gateway_stats* stats = nullptr);
-
-    // The emitter under evaluate() and serve_batch(): `sink` receives each request's merged rows the
-    // moment the global prefix up to it has settled — possibly from a worker
-    // reader thread, serialized under an internal mutex. Concatenating every
-    // sink call reproduces evaluate()'s return byte for byte.
-    using row_sink = std::function<void(std::vector<std::string>&&)>;
-    void evaluate_streamed(const std::vector<std::string>& lines,
-                           gateway_stats* stats, const row_sink& sink);
-
-    // Stream plumbing mirroring serve::service: blank-line framed batches in,
-    // merged rows out (plus a blank terminator per batch when `framed`).
-    // Returns false when the connection is finished (input exhausted, input
-    // stream error, or the client aborted mid-response).
-    bool serve_batch(std::istream& in, std::ostream& out,
-                     gateway_stats* stats = nullptr, bool framed = false);
-    gateway_stats serve_stream(std::istream& in, std::ostream& out,
-                               bool framed = false);
-
-    const admission_controller& admission() const { return admission_; }
-    admission_controller& admission() { return admission_; }
 
     // Pour the gateway's observability into `snap`: the session totals as
     // gateway.* counters, the per-sub-batch worker round-trip latency
@@ -152,30 +87,19 @@ public:
 
 private:
     struct worker;
+    class fan_out;
+
+    u64 run_batch(line_source next, row_sink sink, batch_stats* stats) override;
 
     // Between-batches lifecycle pass: probe process workers for silent exits,
     // then respawn/reconnect every failed worker. Returns how many revived.
     std::size_t revive_workers();
 
-    // Feed the latest worker round-trip window's burn rate into admission.
-    void slo_feedback_tick();
-
-    gateway_options opts_;
+    const gateway_options opts_;
     std::vector<std::unique_ptr<worker>> workers_;
-    admission_controller admission_;
-    std::mutex slo_mutex_;
-    obs::slo_window_monitor slo_monitor_;
-    // Session error/row totals for the slo error_rate clause.
-    u64 total_errors_ = 0;
-    u64 total_rows_ = 0;
-    // Worker sub-batch round-trip latency; recorded concurrently by the
-    // per-worker fan-out threads, hence the atomic variant.
-    obs::atomic_log_histogram worker_rt_ns_;
-    // Trace minting sequence (batch n, line i => mint_trace_id(n, i)); the
-    // gateway is the outermost entry point, so minted contexts are injected
-    // into forwarded request lines. Only advanced while tracing is enabled;
-    // atomic because evaluate may be called from several threads at once.
-    std::atomic<u64> batch_seq_{0};
+    // Worker sub-batch round-trip latency (gateway.worker_rt_ns), recorded
+    // concurrently by the per-worker fan-out threads.
+    obs::atomic_log_histogram& worker_rt_ns_;
 };
 
 }  // namespace meek::serve

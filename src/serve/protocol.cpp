@@ -45,21 +45,6 @@ batch_reader::item batch_reader::next(std::string_view* line) {
 
 bool batch_reader::stream_error() const { return in_.bad(); }
 
-batch_read read_batch(std::istream& in, const batch_limits& limits) {
-    batch_read out;
-    batch_reader reader(in, limits);
-    std::string_view line;
-    for (batch_reader::item it; (it = reader.next(&line)) != batch_reader::item::end;) {
-        if (it == batch_reader::item::line) {
-            out.lines.emplace_back(line);
-        } else {
-            ++out.overflow_lines;
-        }
-    }
-    out.stream_error = reader.stream_error();
-    return out;
-}
-
 namespace {
 
 constexpr int k_ipc_decimals = 6;

@@ -102,19 +102,6 @@ private:
     bool overflowing_ = false;
 };
 
-// One whole batch: the kept lines, then `overflow_lines` discarded ones at
-// request indices [lines.size(), lines.size() + overflow_lines).
-struct batch_read {
-    std::vector<std::string> lines;
-    u64 overflow_lines = 0;
-    bool stream_error = false;
-    bool empty() const { return lines.empty() && overflow_lines == 0; }
-};
-
-// Read one batch through a batch_reader. An empty() result means `in` was
-// exhausted before any request line.
-batch_read read_batch(std::istream& in, const batch_limits& limits = {});
-
 // One evaluation request, as parsed from a single NDJSON line.
 struct run_request {
     std::string id;        // optional client tag, echoed back verbatim
@@ -177,9 +164,10 @@ struct response_row {
     // serve_batch records the row's top-level "serialize" span.
     obs::trace_context trace;
     sim::run_outcome outcome;
-    // Pre-serialized row (stats rows): when nonempty, to_json() emits it
-    // verbatim — it must start with the "request" field like every row, so
-    // the gateway's index rewrite applies unchanged.
+    // Pre-serialized row (stats rows, and worker rows passing through the
+    // gateway): when nonempty, to_json() emits it verbatim — it must start
+    // with the "request" field like every row, so the gateway's index
+    // rewrite applies unchanged.
     std::string raw;
 };
 

@@ -143,7 +143,7 @@ protected:
             // A real I/O error (reset connection, bad fd) must not read as a
             // polite hang-up: throwing here makes istream extraction set
             // badbit (the default exception mask swallows the throw), so
-            // read_batch's stream_error can tell the two apart.
+            // batch_reader's stream_error can tell the two apart.
             throw std::ios_base::failure("fd_stream read error");
         }
         setg(rbuf_, rbuf_, rbuf_ + n);

@@ -727,6 +727,31 @@ std::vector<std::string> mixed_batch() {
     return lines;
 }
 
+// One batch through the framing layer: its kept lines, how many overflowed
+// the caps, and whether the stream died.
+struct framed_batch {
+    std::vector<std::string> lines;
+    u64 overflow_lines = 0;
+    bool stream_error = false;
+    bool empty() const { return lines.empty() && overflow_lines == 0; }
+};
+
+framed_batch read_framed(std::istream& in, const serve::batch_limits& limits = {}) {
+    serve::batch_reader reader(in, limits);
+    framed_batch out;
+    std::string_view line;
+    for (serve::batch_reader::item it;
+         (it = reader.next(&line)) != serve::batch_reader::item::end;) {
+        if (it == serve::batch_reader::item::line) {
+            out.lines.emplace_back(line);
+        } else {
+            ++out.overflow_lines;
+        }
+    }
+    out.stream_error = reader.stream_error();
+    return out;
+}
+
 std::string rows_to_text(const std::vector<serve::response_row>& rows) {
     std::string out;
     for (const serve::response_row& row : rows) {
@@ -954,10 +979,10 @@ TEST(serve_service, crlf_batches_frame_and_serve_identically_to_lf) {
     EXPECT_EQ(crlf_stats.requests, 2u);
     EXPECT_EQ(crlf_stats.errors, 0u) << "no '\\r' may reach the JSON parser";
 
-    // And the framing layer itself: read_batch hands the parser CR-free
+    // And the framing layer itself: batch_reader hands the parser CR-free
     // lines.
     std::istringstream raw("{\"a\":1}\r\n\r\n");
-    const std::vector<std::string> lines = serve::read_batch(raw).lines;
+    const std::vector<std::string> lines = read_framed(raw).lines;
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0], "{\"a\":1}");
 }
@@ -1534,10 +1559,10 @@ private:
     std::string text_;
 };
 
-TEST(serve_service, read_batch_separates_eof_from_stream_error) {
+TEST(serve_service, batch_reader_separates_eof_from_stream_error) {
     // Clean EOF: no stream_error.
     std::istringstream clean("{\"a\":1}\n{\"b\":2}\n");
-    const serve::batch_read ok = serve::read_batch(clean);
+    const framed_batch ok = read_framed(clean);
     EXPECT_EQ(ok.lines.size(), 2u);
     EXPECT_FALSE(ok.stream_error);
 
@@ -1545,7 +1570,7 @@ TEST(serve_service, read_batch_separates_eof_from_stream_error) {
     // surfaced instead of masquerading as a polite hang-up.
     dying_streambuf buf("{\"a\":1}\n{\"b\":2}\n");
     std::istream dying(&buf);
-    const serve::batch_read bad = serve::read_batch(dying);
+    const framed_batch bad = read_framed(dying);
     EXPECT_EQ(bad.lines.size(), 2u);
     EXPECT_TRUE(bad.stream_error);
 
@@ -1569,18 +1594,16 @@ TEST(serve_service, batch_caps_turn_overflow_lines_into_overloaded_rows) {
     // Protocol level: lines past the cap are drained (framing intact) but
     // their content is dropped.
     std::istringstream in("{\"a\":1}\n{\"b\":2}\n{\"c\":3}\n\n{\"next\":1}\n");
-    const serve::batch_read r =
-        serve::read_batch(in, {.max_lines = 2, .max_bytes = 0});
+    const framed_batch r = read_framed(in, {.max_lines = 2, .max_bytes = 0});
     EXPECT_EQ(r.lines.size(), 2u);
     EXPECT_EQ(r.overflow_lines, 1u);
-    const serve::batch_read next = serve::read_batch(in);
+    const framed_batch next = read_framed(in);
     ASSERT_EQ(next.lines.size(), 1u) << "overflow must not desync framing";
     EXPECT_EQ(next.lines[0], "{\"next\":1}");
 
     // Byte cap too.
     std::istringstream in2("{\"aaaaaaaaaaaaaaaa\":1}\n{\"b\":2}\n");
-    const serve::batch_read r2 =
-        serve::read_batch(in2, {.max_lines = 0, .max_bytes = 24});
+    const framed_batch r2 = read_framed(in2, {.max_lines = 0, .max_bytes = 24});
     EXPECT_EQ(r2.lines.size(), 1u);
     EXPECT_EQ(r2.overflow_lines, 1u);
 
@@ -1669,8 +1692,8 @@ TEST(serve_service, stream_bytes_identical_to_evaluated_rows_at_any_thread_count
     std::string expected, expected_framed;
     {
         serve::service svc({.threads = 1});
-        for (serve::batch_read b = serve::read_batch(batches_in); !b.empty();
-             b = serve::read_batch(batches_in)) {
+        for (framed_batch b = read_framed(batches_in); !b.empty();
+             b = read_framed(batches_in)) {
             const std::string rows = rows_to_text(svc.evaluate(b.lines));
             expected += rows;
             expected_framed += rows + '\n';

@@ -358,7 +358,10 @@ void run_scripted_worker(serve::listener* lis, int emit_rows, int delay_ms,
                          bool send_terminator) {
     std::unique_ptr<serve::fd_stream> conn = lis->accept();
     if (!conn) return;
-    const std::vector<std::string> lines = serve::read_batch(*conn).lines;
+    serve::batch_reader reader(*conn, {});
+    std::vector<std::string> lines;
+    std::string_view line;
+    while (reader.next(&line) == serve::batch_reader::item::line) lines.emplace_back(line);
     if (delay_ms > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
     }
@@ -870,7 +873,8 @@ TEST(transport_streaming, a_client_that_stops_reading_stalls_only_its_own_connec
 TEST(gateway, streaming_merge_with_shed_rows_matches_buffered) {
     // Admission at the gateway: 2 of 4 parseable lines shed (queue cap),
     // settling locally as overloaded rows among real worker rows, and the
-    // streamed concatenation must equal the buffered merge byte for byte.
+    // streamed serve_batch bytes must equal the evaluate() merge byte for
+    // byte.
     serve::gateway_options opts;
     opts.workers = 2;
     opts.worker_argv = {MEEK_SERVE_BIN, "--framed", "--quiet"};
@@ -913,15 +917,13 @@ TEST(gateway, streaming_merge_with_shed_rows_matches_buffered) {
 
     serve::gateway streaming(opts);
     ASSERT_TRUE(streaming.ok());
+    std::string input;
+    for (const std::string& l : lines) input += l + '\n';
+    std::istringstream in(input);
+    std::ostringstream out;
     serve::gateway_stats sstats;
-    std::vector<std::string> streamed;
-    streaming.evaluate_streamed(lines, &sstats,
-                                [&](std::vector<std::string>&& rows) {
-                                    for (std::string& r : rows) {
-                                        streamed.push_back(std::move(r));
-                                    }
-                                });
-    EXPECT_EQ(join_rows(streamed), join_rows(brows))
+    EXPECT_TRUE(streaming.serve_batch(in, out, &sstats));
+    EXPECT_EQ(out.str(), join_rows(brows))
         << "streamed merge must reproduce the buffered bytes";
     EXPECT_EQ(sstats.shed, 2u);
     EXPECT_EQ(streaming.admission().queued_lines(), 0u)
@@ -930,14 +932,13 @@ TEST(gateway, streaming_merge_with_shed_rows_matches_buffered) {
 
 TEST(gateway, sub_batches_larger_than_the_pipe_buffers_do_not_deadlock) {
     // Workers answer each line while still reading the rest, so a gateway
-    // that wrote a whole sub-batch before reading would wedge once ~330 KiB
-    // of requests and ~400 KiB of rows outgrow both pipe buffers. (A
+    // that wrote a whole sub-batch before reading would wedge once ~430 KiB
+    // of requests and ~1.9 MiB of rows outgrow both pipe buffers. (A
     // regression here hangs, which ctest's timeout turns into a failure.)
-    std::vector<std::string> lines;
-    for (int i = 0; i < 6000; ++i) {
-        lines.push_back(R"({"scenario":"vanilla","workload":"missing)" +
-                        std::to_string(i) + R"("})");
-    }
+    // One cheap line repeated: the worker simulates it once and serves the
+    // rest from its outcome cache.
+    const std::vector<std::string> lines(
+        6000, R"({"scenario":"vanilla","workload":"hmmer","instructions":3000,"seed":3})");
     serve::gateway_options opts;
     opts.workers = 1;
     opts.worker_argv = {MEEK_SERVE_BIN, "--framed", "--quiet"};
@@ -965,6 +966,243 @@ TEST(gateway, serve_batch_is_byte_identical_to_a_single_process) {
     EXPECT_EQ(stats.client_aborts, 0u);
     EXPECT_EQ(out.str(), single_process_rows(lines) + "\n");
 }
+
+TEST(gateway, worker_shed_rows_pass_through_in_slot) {
+    // The worker sheds, the gateway does not: a worker admitting one queued
+    // line per batch answers the 3-repeat line with ONE overloaded row. That
+    // row settles the line's slot whatever its repeats, the rest of the batch
+    // keeps its rows, and the worker is not counted as failed.
+    serve::gateway_options opts;
+    opts.workers = 1;
+    opts.worker_argv = {MEEK_SERVE_BIN, "--framed", "--quiet", "--max-queue-lines", "1"};
+    serve::gateway gw(opts);
+    ASSERT_TRUE(gw.ok());
+
+    const std::vector<std::string> lines = {
+        R"({"id":"a","scenario":"vanilla","workload":"hmmer","instructions":6000,"seed":3})",
+        R"({"id":"b","scenario":"vanilla","workload":"hmmer","instructions":6000,"seed":4,"repeats":3})",
+        R"(}{ not json)",
+    };
+    serve::gateway_stats stats;
+    const std::vector<std::string> rows = gw.evaluate(lines, &stats);
+    ASSERT_EQ(rows.size(), 3u) << join_rows(rows);
+    const auto served = serve::parse_response(rows[0]);
+    ASSERT_TRUE(served.has_value());
+    EXPECT_TRUE(served->error.empty()) << rows[0];
+    const auto shed = serve::parse_response(rows[1]);
+    ASSERT_TRUE(shed.has_value());
+    EXPECT_EQ(shed->request_index, 1u);
+    EXPECT_EQ(shed->id, "b");
+    EXPECT_EQ(shed->error, "overloaded") << rows[1];
+    EXPECT_NE(serve::parse_response(rows[2])->error.find("bad json"), std::string::npos);
+    EXPECT_EQ(stats.worker_failures, 0u);
+    EXPECT_EQ(stats.errors, 2u);
+    EXPECT_EQ(gw.alive_workers(), 1u);
+
+    // And the bytes are exactly a single process's with the worker's limits.
+    serve::service_options ref;
+    ref.threads = 2;
+    ref.admission.enabled = true;
+    ref.admission.max_queue_lines = 1;
+    serve::service svc(ref);
+    std::string expected;
+    for (const serve::response_row& row : svc.evaluate(lines)) expected += to_json(row) + '\n';
+    EXPECT_EQ(join_rows(rows), expected);
+}
+
+// ------------------------------------------------- front-end conformance ---
+//
+// One set of front-end contracts, run against both front-ends of the batch
+// core: an in-process serve::service and a one-worker process gateway. Rows
+// are compared with a plain single-process evaluation of the same lines.
+
+enum class front_kind { service, gateway };
+
+std::unique_ptr<serve::batch_core> make_front(front_kind kind,
+                                              const serve::batch_limits& limits = {},
+                                              const serve::admission_options& admission = {}) {
+    if (kind == front_kind::service) {
+        serve::service_options o;
+        o.threads = 2;
+        o.limits = limits;
+        o.admission = admission;
+        return std::make_unique<serve::service>(o);
+    }
+    serve::gateway_options o;
+    o.workers = 1;
+    o.worker_argv = {MEEK_SERVE_BIN, "--framed", "--quiet"};
+    o.limits = limits;
+    o.admission = admission;
+    auto gw = std::make_unique<serve::gateway>(o);
+    EXPECT_TRUE(gw->ok());
+    return gw;
+}
+
+std::vector<serve::response_row> parse_rows(const std::string& text) {
+    std::vector<serve::response_row> rows;
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) {
+        const auto row = serve::parse_response(line);
+        EXPECT_TRUE(row.has_value()) << line;
+        if (row) rows.push_back(*row);
+    }
+    return rows;
+}
+
+const std::string k_conf_req =
+    R"({"id":"r","scenario":"vanilla","workload":"hmmer","instructions":6000,"seed":3})";
+
+class front_conformance : public ::testing::TestWithParam<front_kind> {};
+
+TEST_P(front_conformance, framed_and_unframed_streams_match_a_single_process) {
+    const std::vector<std::string> batch1 = small_mixed_batch();
+    const std::vector<std::string> batch2 = {k_conf_req};
+    std::string input;
+    for (const std::string& l : batch1) input += l + '\n';
+    input += '\n';
+    for (const std::string& l : batch2) input += l + '\n';
+    const std::string rows1 = single_process_rows(batch1);
+    const std::string rows2 = single_process_rows(batch2);
+
+    for (const bool framed : {false, true}) {
+        auto front = make_front(GetParam());
+        std::istringstream in(input);
+        std::ostringstream out;
+        const serve::batch_stats stats = front->serve_stream(in, out, framed);
+        EXPECT_EQ(out.str(), framed ? rows1 + '\n' + rows2 + '\n' : rows1 + rows2)
+            << "framed=" << framed;
+        EXPECT_EQ(stats.requests, 6u);
+        EXPECT_EQ(stats.rows, 8u);
+        EXPECT_EQ(stats.errors, 2u) << "bad json + unknown workload";
+        EXPECT_EQ(stats.shed, 0u);
+        EXPECT_EQ(stats.stream_errors, 0u);
+        EXPECT_EQ(stats.client_aborts, 0u);
+    }
+}
+
+TEST_P(front_conformance, batch_caps_turn_overflow_lines_into_overloaded_rows) {
+    // Line cap: lines 2 and 3 overflow; the next batch is framed intact.
+    auto lines_front = make_front(GetParam(), {.max_lines = 2, .max_bytes = 0});
+    std::istringstream in(k_conf_req + "\n" + k_conf_req + "\n" + k_conf_req + "\n" +
+                          k_conf_req + "\n\n" + k_conf_req + "\n");
+    std::ostringstream out;
+    const serve::batch_stats stats = lines_front->serve_stream(in, out);
+    const std::vector<serve::response_row> rows = parse_rows(out.str());
+    ASSERT_EQ(rows.size(), 5u) << out.str();
+    for (const std::size_t k : {0u, 1u, 4u}) EXPECT_TRUE(rows[k].error.empty()) << k;
+    for (const std::size_t k : {2u, 3u}) {
+        EXPECT_EQ(rows[k].request_index, k);
+        EXPECT_EQ(rows[k].error, "overloaded");
+        EXPECT_EQ(rows[k].retry_after_ms, 100u);
+    }
+    EXPECT_EQ(rows[4].request_index, 0u) << "overflow must not desync framing";
+    EXPECT_EQ(stats.requests, 5u);
+    EXPECT_EQ(stats.rows, 5u);
+    EXPECT_EQ(stats.errors, 2u);
+    EXPECT_EQ(stats.shed, 2u);
+    EXPECT_EQ(lines_front->admission().stats().shed_batch_limit, 2u);
+
+    // Byte cap: once a line crosses it, every later line overflows too.
+    auto bytes_front = make_front(GetParam(), {.max_lines = 0, .max_bytes = 100});
+    const std::string big = R"({"id":")" + std::string(90, 'x') + R"(",)" + k_conf_req.substr(1);
+    std::istringstream byte_in(big + "\n" + k_conf_req + "\n");
+    std::ostringstream byte_out;
+    const serve::batch_stats byte_stats = bytes_front->serve_stream(byte_in, byte_out);
+    const std::vector<serve::response_row> byte_rows = parse_rows(byte_out.str());
+    ASSERT_EQ(byte_rows.size(), 2u);
+    for (u64 k = 0; k < 2; ++k) {
+        EXPECT_EQ(byte_rows[k].request_index, k);
+        EXPECT_EQ(byte_rows[k].error, "overloaded");
+    }
+    EXPECT_EQ(byte_stats.shed, 2u);
+    EXPECT_EQ(byte_stats.jobs, 0u);
+}
+
+TEST_P(front_conformance, admission_shed_at_the_head_of_a_batch_settles_in_slot) {
+    // One token and a rate that never refills in test time: batch 1's line
+    // takes the token, so batch 2 sheds from its head on.
+    serve::admission_options adm;
+    adm.enabled = true;
+    adm.line_rate = 1e-9;
+    adm.line_burst = 1;
+    adm.retry_after_ms = 40;
+    auto front = make_front(GetParam(), {}, adm);
+    std::istringstream in(k_conf_req + "\n\n" + k_conf_req + "\n}{ not json\n" +
+                          k_conf_req + "\n");
+    std::ostringstream out;
+    const serve::batch_stats stats = front->serve_stream(in, out, /*framed=*/true);
+    EXPECT_EQ(out.str(), single_process_rows({k_conf_req}) + "\n" +
+                             join_rows({serve::to_json(serve::overloaded_row(0, 40, "r")),
+                                        serve::to_json([] {
+                                            serve::response_row row;
+                                            row.request_index = 1;
+                                            row.error = serve::parse_request("}{ not json").error;
+                                            return row;
+                                        }()),
+                                        serve::to_json(serve::overloaded_row(2, 40, "r"))}) +
+                             "\n");
+    EXPECT_EQ(stats.requests, 4u);
+    EXPECT_EQ(stats.rows, 4u);
+    EXPECT_EQ(stats.errors, 3u);
+    EXPECT_EQ(stats.shed, 2u);
+    EXPECT_EQ(front->admission().queued_lines(), 0u) << "admitted lines retire";
+}
+
+// An input stream that dies (throws) once its text is consumed: an I/O
+// error, not a clean EOF.
+class dying_streambuf : public std::streambuf {
+public:
+    explicit dying_streambuf(std::string text) : text_(std::move(text)) {
+        setg(text_.data(), text_.data(), text_.data() + text_.size());
+    }
+
+protected:
+    int_type underflow() override {
+        throw std::ios_base::failure("injected transport failure");
+    }
+
+private:
+    std::string text_;
+};
+
+// An output stream that accepts nothing, the way a closed socket surfaces
+// once SIGPIPE is ignored.
+class closed_streambuf : public std::streambuf {
+protected:
+    int_type overflow(int_type) override { return traits_type::eof(); }
+};
+
+TEST_P(front_conformance, a_dying_input_stream_serves_what_it_read_and_ends) {
+    auto front = make_front(GetParam());
+    dying_streambuf buf(k_conf_req + "\n" + k_conf_req + "\n");
+    std::istream dying(&buf);
+    std::ostringstream out;
+    serve::batch_stats stats;
+    EXPECT_FALSE(front->serve_batch(dying, out, &stats));
+    EXPECT_EQ(out.str(), single_process_rows({k_conf_req, k_conf_req}));
+    EXPECT_EQ(stats.stream_errors, 1u);
+    EXPECT_EQ(stats.requests, 2u);
+    EXPECT_EQ(stats.rows, 2u);
+}
+
+TEST_P(front_conformance, a_dying_output_stream_counts_a_client_abort) {
+    auto front = make_front(GetParam());
+    closed_streambuf buf;
+    std::ostream dead(&buf);
+    std::istringstream in(k_conf_req + "\n" + k_conf_req + "\n\n" + k_conf_req + "\n");
+    const serve::batch_stats stats = front->serve_stream(in, dead);
+    EXPECT_EQ(stats.client_aborts, 1u);
+    EXPECT_EQ(stats.requests, 2u) << "the connection ends with the aborted batch";
+    EXPECT_EQ(stats.stream_errors, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(both, front_conformance,
+                         ::testing::Values(front_kind::service, front_kind::gateway),
+                         [](const ::testing::TestParamInfo<front_kind>& info) {
+                             return info.param == front_kind::service ? "service"
+                                                                      : "gateway";
+                         });
 
 }  // namespace
 }  // namespace meek

@@ -13,7 +13,8 @@
 //                                   each batch's rows end with a blank line).
 //
 // Options:
-//   --threads N            worker threads (default: MEEK_THREADS / hardware)
+//   --threads N            worker threads, 0..1024 (default 0: MEEK_THREADS /
+//                          hardware)
 //   --cache-capacity N     workload cache entries (default 64; 0 disables)
 //   --outcome-capacity N   completed-result cache entries (default 256;
 //                          0 disables — every request simulates)
@@ -32,7 +33,7 @@
 //                          until killed); probes that send no request do not
 //                          consume the budget
 //   --accept-threads N     --listen: serve up to N client connections
-//                          concurrently (default 4)
+//                          concurrently, 1..1024 (default 4)
 //   --stats-json PATH      after serving, write the session's observability
 //                          snapshot (meek.stats.v1: counters, gauges, and
 //                          per-stage latency histograms) as one JSON line,
@@ -53,23 +54,21 @@
 //                          them back
 //   --quiet                suppress the stderr session summary
 //
+// A value flag also takes the --flag=VALUE form. Numbers must be whole
+// decimal numbers in range (--line-rate: a nonnegative real), or the tool
+// exits 2; the flags it shares with meek_gateway parse in one place
+// (serve_flags.h).
+//
 // stdout carries only response rows — byte-identical for a given input at
 // any thread count, tracing on or off — so it can be diffed against golden
 // expectations; the session summary (cache hit rate, job timing) goes to
 // stderr.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <string>
 
-#include "common/atomic_file.h"
-#include "obs/slo.h"
-#include "obs/stats_json.h"
-#include "obs/trace.h"
 #include "serve/service.h"
 #include "serve/transport.h"
+#include "serve_flags.h"
 
 using namespace meek;
 
@@ -92,120 +91,43 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::string requests_file;
+    tools::serve_flags flags;
     std::string listen_spec;
-    std::string stats_json_path;
-    std::string trace_json_path;
-    std::string slo_text;
-    obs::trace_clock_mode trace_clock = obs::trace_clock_mode::wall;
     serve::service_options opts;
     u64 max_connections = 0;
     u32 accept_threads = 4;
-    bool framed = false;
-    bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&](const char* flag) -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--requests") {
-            requests_file = next_value("--requests");
-        } else if (arg == "--listen") {
-            listen_spec = next_value("--listen");
-        } else if (arg == "--max-connections") {
-            max_connections = std::strtoull(next_value("--max-connections"), nullptr, 10);
-        } else if (arg == "--accept-threads") {
-            const unsigned long v =
-                std::strtoul(next_value("--accept-threads"), nullptr, 10);
-            accept_threads = v > 0 ? static_cast<u32>(v) : 1;
-        } else if (arg == "--framed") {
-            framed = true;
-        } else if (arg == "--admission") {
-            opts.admission.enabled = true;
-        } else if (arg == "--max-inflight") {
-            opts.admission.max_inflight_jobs =
-                std::strtoull(next_value("--max-inflight"), nullptr, 10);
-            opts.admission.enabled = true;
-        } else if (arg == "--max-queue-lines") {
-            opts.admission.max_queue_lines =
-                std::strtoull(next_value("--max-queue-lines"), nullptr, 10);
-            opts.admission.enabled = true;
-        } else if (arg == "--max-queue-bytes") {
-            opts.admission.max_queue_bytes =
-                std::strtoull(next_value("--max-queue-bytes"), nullptr, 10);
-            opts.admission.enabled = true;
-        } else if (arg == "--line-rate") {
-            opts.admission.line_rate = std::strtod(next_value("--line-rate"), nullptr);
-            opts.admission.enabled = true;
-        } else if (arg == "--retry-after-ms") {
-            opts.admission.retry_after_ms =
-                std::strtoull(next_value("--retry-after-ms"), nullptr, 10);
-        } else if (arg == "--batch-max-lines") {
-            opts.limits.max_lines =
-                std::strtoull(next_value("--batch-max-lines"), nullptr, 10);
-        } else if (arg == "--batch-max-bytes") {
-            opts.limits.max_bytes =
-                std::strtoull(next_value("--batch-max-bytes"), nullptr, 10);
-        } else if (arg == "--threads") {
-            opts.threads = static_cast<u32>(std::strtoul(next_value("--threads"), nullptr, 10));
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            opts.threads = static_cast<u32>(std::strtoul(arg.c_str() + 10, nullptr, 10));
-        } else if (arg == "--cache-capacity") {
-            opts.cache_capacity = std::strtoul(next_value("--cache-capacity"), nullptr, 10);
-        } else if (arg.rfind("--cache-capacity=", 0) == 0) {
-            opts.cache_capacity = std::strtoul(arg.c_str() + 17, nullptr, 10);
-        } else if (arg == "--outcome-capacity") {
-            opts.outcome_capacity =
-                std::strtoul(next_value("--outcome-capacity"), nullptr, 10);
-        } else if (arg.rfind("--outcome-capacity=", 0) == 0) {
-            opts.outcome_capacity = std::strtoul(arg.c_str() + 19, nullptr, 10);
-        } else if (arg == "--stats-json") {
-            stats_json_path = next_value("--stats-json");
-        } else if (arg == "--trace-json") {
-            trace_json_path = next_value("--trace-json");
-        } else if (arg == "--trace-clock") {
-            const std::string mode = next_value("--trace-clock");
-            if (mode == "wall") {
-                trace_clock = obs::trace_clock_mode::wall;
-            } else if (mode == "virtual") {
-                trace_clock = obs::trace_clock_mode::virtual_;
-            } else {
-                std::fprintf(stderr, "--trace-clock must be wall or virtual\n");
-                return 2;
-            }
-        } else if (arg == "--slo") {
-            slo_text = next_value("--slo");
-        } else if (arg == "--quiet") {
-            quiet = true;
+    tools::flag_reader args(argc, argv);
+    while (args.next()) {
+        if (flags.take(args)) continue;
+        if (args.is("--listen")) {
+            listen_spec = args.text();
+        } else if (args.is("--max-connections")) {
+            max_connections = args.count(0);
+        } else if (args.is("--accept-threads")) {
+            accept_threads = static_cast<u32>(args.count(1, 1024));
+        } else if (args.is("--max-inflight")) {  // the gateway runs no jobs
+            flags.admission.max_inflight_jobs = args.count(0);
+            flags.admission.enabled = true;
+        } else if (args.is("--threads")) {
+            opts.threads = static_cast<u32>(args.count(0, 1024));
+        } else if (args.is("--cache-capacity")) {
+            opts.cache_capacity = args.count(0);
+        } else if (args.is("--outcome-capacity")) {
+            opts.outcome_capacity = args.count(0);
         } else {
             return usage(argv[0]);
         }
     }
 
-    if (!requests_file.empty() && !listen_spec.empty()) {
+    if (!flags.requests_file.empty() && !listen_spec.empty()) {
         std::fprintf(stderr, "--requests and --listen are mutually exclusive\n");
         return 2;
     }
-
-    obs::slo_spec slo;
-    if (!slo_text.empty()) {
-        std::string error;
-        if (!obs::parse_slo_spec(slo_text, &slo, &error)) {
-            std::fprintf(stderr, "bad --slo spec: %s\n", error.c_str());
-            return 2;
-        }
-    }
-    const bool tracing = !trace_json_path.empty();
-    if (tracing) obs::tracer::instance().enable(trace_clock);
-
-    // With admission on, the --slo spec doubles as the shed/admit feedback
-    // signal: the service tightens its own limits while the spec burns.
-    if (!slo_text.empty() && opts.admission.enabled) opts.slo_feedback = slo;
+    flags.start();
+    opts.admission = flags.admission;
+    opts.limits = flags.limits;
+    opts.slo_feedback = flags.slo_feedback();
 
     serve::service svc(opts);
     serve::batch_stats stats;
@@ -236,37 +158,30 @@ int main(int argc, char** argv) {
         stats.jobs = cs.jobs;
         conn_stats = cs;
         listened = true;
-        if (!quiet) {
+        if (!flags.quiet) {
             std::fprintf(stderr, "# connections=%llu\n",
                          static_cast<unsigned long long>(cs.connections));
         }
-    } else if (!requests_file.empty()) {
-        std::ifstream in(requests_file);
-        if (!in) {
-            std::fprintf(stderr, "cannot open requests file '%s'\n",
-                         requests_file.c_str());
-            return 1;
-        }
-        stats = svc.serve_stream(in, std::cout, framed);
-    } else {
-        stats = svc.serve_stream(std::cin, std::cout, framed);
+    } else if (!flags.serve_stdio(svc, &stats)) {
+        return 1;
     }
 
     // SLO verdict first (it feeds the stats JSON): evaluated against the
     // session's end-to-end per-request latency, error rows over merged rows.
     obs::slo_report slo_report;
-    if (!slo_text.empty()) {
+    if (!flags.slo_text.empty()) {
         obs::log_histogram request_latency;
         for (const obs::histogram_entry& h : svc.stats_snapshot().histograms) {
             if (h.name == "service.request_ns") request_latency = h.hist;
         }
         slo_report =
-            obs::evaluate_slo(slo, request_latency, stats.errors, stats.rows);
+            obs::evaluate_slo(flags.slo, request_latency, stats.errors, stats.rows);
         std::fputs(obs::format_slo_report(slo_report, "# slo: ").c_str(), stderr);
     }
 
-    if (!stats_json_path.empty()) {
-        obs::metrics_snapshot snap = svc.stats_snapshot();
+    obs::metrics_snapshot snap;
+    if (!flags.stats_json_path.empty()) {
+        snap = svc.stats_snapshot();
         if (listened) {
             snap.set_counter("connections.connections", conn_stats.connections);
             snap.set_counter("connections.requests", conn_stats.requests);
@@ -274,38 +189,10 @@ int main(int argc, char** argv) {
             snap.set_counter("connections.errors", conn_stats.errors);
             snap.set_counter("connections.jobs", conn_stats.jobs);
         }
-        if (tracing) {
-            obs::tracer& tr = obs::tracer::instance();
-            snap.set_counter("trace.spans_recorded", tr.spans_recorded());
-            snap.set_counter("trace.spans_dropped", tr.spans_dropped());
-        }
-        std::string error;
-        std::string admission_doc;
-        if (svc.admission().enabled()) admission_doc = svc.admission().to_json();
-        const std::string doc =
-            obs::stats_json(snap, slo_text.empty() ? nullptr : &slo_report,
-                            admission_doc.empty() ? nullptr : &admission_doc) +
-            "\n";
-        if (!write_file_atomic(stats_json_path, doc, &error)) {
-            std::fprintf(stderr, "cannot write --stats-json '%s': %s\n",
-                         stats_json_path.c_str(), error.c_str());
-            return 1;
-        }
     }
+    if (!flags.write_exports(std::move(snap), slo_report, svc.admission())) return 1;
 
-    if (tracing) {
-        obs::tracer& tr = obs::tracer::instance();
-        const std::string doc =
-            obs::chrome_trace_json(tr.drain(), tr.spans_dropped());
-        std::string error;
-        if (!write_file_atomic(trace_json_path, doc, &error)) {
-            std::fprintf(stderr, "cannot write --trace-json '%s': %s\n",
-                         trace_json_path.c_str(), error.c_str());
-            return 1;
-        }
-    }
-
-    if (!quiet) {
+    if (!flags.quiet) {
         const serve::workload_cache_stats cs = svc.cache().stats();
         const serve::outcome_cache_stats os = svc.outcomes().stats();
         const sim::executor_timing t = svc.pool().timing();
@@ -338,17 +225,7 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(ps.steals()),
                      static_cast<unsigned long long>(ps.steal_attempts()),
                      100.0 * ps.steal_success_rate(), ps.busy_ms());
-        if (svc.admission().enabled()) {
-            const serve::admission_stats adm = svc.admission().stats();
-            std::fprintf(stderr,
-                         "# admission: admitted=%llu shed=%llu scale=%.3f "
-                         "tightenings=%llu recoveries=%llu\n",
-                         static_cast<unsigned long long>(adm.admitted),
-                         static_cast<unsigned long long>(adm.shed),
-                         svc.admission().scale(),
-                         static_cast<unsigned long long>(adm.slo_tightenings),
-                         static_cast<unsigned long long>(adm.slo_recoveries));
-        }
+        tools::print_admission_summary(svc.admission());
     }
     return slo_report.violated ? 1 : 0;
 }
