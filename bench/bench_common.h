@@ -1,14 +1,14 @@
 // Shared helpers for the figure/table benches: option parsing (--quick for
-// CI-sized runs, --threads for the executor fan-out), paper-reference
-// constants, and output formatting.
+// CI-sized runs, --threads for the executor fan-out, through the strict
+// flag_reader), paper-reference constants, and output formatting.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/stats.h"
 #include "report/table.h"
 #include "sim/executor.h"
@@ -21,24 +21,25 @@ struct bench_options {
     u32 faults_per_workload = 400;
     u32 threads = 0;          // 0 -> MEEK_THREADS env, else hardware threads
 
+    // --quick, --full, --threads N (0..1024; 0 = auto). Anything else
+    // prints usage and exits 2.
     static bench_options parse(int argc, char** argv) {
         bench_options o;
-        for (int i = 1; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--quick") == 0) {
+        flag_reader args(argc, argv);
+        while (args.next()) {
+            if (args.is_switch("--quick")) {
                 o.quick = true;
                 o.instructions = 60'000;
                 o.faults_per_workload = 80;
-            }
-            if (std::strcmp(argv[i], "--full") == 0) {
+            } else if (args.is_switch("--full")) {
                 o.instructions = 500'000;
                 o.faults_per_workload = 2'000;
-            }
-            if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-                const int v = std::atoi(argv[i] + 10);
-                o.threads = v > 0 ? static_cast<u32>(v) : 0;  // <= 0: auto
-            } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-                const int v = std::atoi(argv[++i]);
-                o.threads = v > 0 ? static_cast<u32>(v) : 0;
+            } else if (args.is("--threads")) {
+                o.threads = static_cast<u32>(args.count(0, 1024));
+            } else {
+                std::fprintf(stderr, "usage: %s [--quick | --full] [--threads N]\n",
+                             argv[0]);
+                std::exit(2);
             }
         }
         return o;

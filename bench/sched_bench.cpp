@@ -24,16 +24,14 @@
 // never cost an end-to-end metric more than about 1%.
 //
 // Options: --quick (CI size: 40k tasks, workers 1/4), --workers CSV,
-// --tasks N, --task-ns N, --repeat R, --check. Values must be whole
-// decimal numbers; --task-ns may be 0 (empty tasks), the others must be
-// positive. Anything else exits 2.
+// --tasks N, --task-ns N, --repeat R, --check, each value flag also as
+// --flag=VALUE. Values must be whole decimal numbers; --task-ns may be 0
+// (empty tasks), the others must be positive. Anything else exits 2.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/cli.h"
@@ -122,21 +120,6 @@ double overhead_ns(const run_result& r, u32 workers, std::size_t tasks,
            static_cast<double>(task_ns) / workers;
 }
 
-bool parse_workers(const std::string& csv, std::vector<u32>* out) {
-    out->clear();
-    std::size_t start = 0;
-    for (;;) {
-        const std::size_t comma = csv.find(',', start);
-        u64 v = 0;
-        if (!parse_count(csv.substr(start, comma - start), 1, 1024, &v)) {
-            return false;
-        }
-        out->push_back(static_cast<u32>(v));
-        if (comma == std::string::npos) return true;
-        start = comma + 1;
-    }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -146,45 +129,21 @@ int main(int argc, char** argv) {
     u32 repeat = 3;
     bool check = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char* flag) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto count = [&](const char* flag, u64 min, u64 max) {
-            const std::string v = value(flag);
-            u64 n = 0;
-            if (!parse_count(v, min, max, &n)) {
-                std::fprintf(stderr, "%s: '%s' is not a whole number in [%llu, %llu]\n",
-                             flag, v.c_str(), static_cast<unsigned long long>(min),
-                             static_cast<unsigned long long>(max));
-                std::exit(2);
-            }
-            return n;
-        };
-        if (arg == "--quick") {
+    flag_reader args(argc, argv);
+    while (args.next()) {
+        if (args.is_switch("--quick")) {
             workers = {1, 4};
             tasks = 40'000;
-        } else if (arg == "--workers") {
-            const std::string v = value("--workers");
-            if (!parse_workers(v, &workers)) {
-                std::fprintf(stderr,
-                             "--workers: '%s' is not a comma-separated list of "
-                             "worker counts in [1, 1024]\n",
-                             v.c_str());
-                return 2;
-            }
-        } else if (arg == "--tasks") {
-            tasks = count("--tasks", 1, 100'000'000);
-        } else if (arg == "--task-ns") {
-            task_ns = static_cast<long>(count("--task-ns", 0, 1'000'000'000));
-        } else if (arg == "--repeat") {
-            repeat = static_cast<u32>(count("--repeat", 1, 1'000));
-        } else if (arg == "--check") {
+        } else if (args.is("--workers")) {
+            const std::vector<u64> list = args.count_list(1, 1024);
+            workers.assign(list.begin(), list.end());
+        } else if (args.is("--tasks")) {
+            tasks = args.count(1, 100'000'000);
+        } else if (args.is("--task-ns")) {
+            task_ns = static_cast<long>(args.count(0, 1'000'000'000));
+        } else if (args.is("--repeat")) {
+            repeat = static_cast<u32>(args.count(1, 1'000));
+        } else if (args.is_switch("--check")) {
             check = true;
         } else {
             std::fprintf(stderr,

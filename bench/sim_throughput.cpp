@@ -25,22 +25,25 @@
 // Absolute MIPS is deliberately not gated — CI hosts differ; the trajectory
 // is tracked via the BENCH_soc.json artifact instead.
 //
-// Options: --quick (CI size: 60k instructions, 2 reps), --instructions N,
-// --workload NAME, --repeat R, --check, --json PATH (default BENCH_soc.json,
-// empty string disables the artifact). The artifact carries a host record
+// Options: --quick (CI size: 60k instructions, 2 reps), --instructions N
+// (>= 1), --workload NAME, --repeat R (>= 1), --check, --json PATH
+// (default BENCH_soc.json, empty string disables the artifact). A value flag
+// also takes the --flag=VALUE form; a malformed value or an unknown flag
+// exits 2. The artifact carries a host record
 // (nproc, CPU model, source commit, UTC date) so committed numbers say where
 // they were measured.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/atomic_file.h"
+#include "common/cli.h"
 #include "serve/workload_cache.h"
 #include "sim/job.h"
 #include "sim/scenario.h"
@@ -234,28 +237,21 @@ int main(int argc, char** argv) {
     bool check = false;
     std::string json_path = "BENCH_soc.json";
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char* flag) -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--quick") {
+    flag_reader args(argc, argv);
+    while (args.next()) {
+        if (args.is_switch("--quick")) {
             instructions = 60'000;
             repeat = 2;
-        } else if (arg == "--instructions") {
-            instructions = std::strtoull(value("--instructions"), nullptr, 10);
-        } else if (arg == "--workload") {
-            workload = value("--workload");
-        } else if (arg == "--repeat") {
-            repeat = static_cast<u32>(std::strtoul(value("--repeat"), nullptr, 10));
-        } else if (arg == "--check") {
+        } else if (args.is("--instructions")) {
+            instructions = args.count(1);
+        } else if (args.is("--workload")) {
+            workload = args.text();
+        } else if (args.is("--repeat")) {
+            repeat = static_cast<u32>(args.count(1, std::numeric_limits<u32>::max()));
+        } else if (args.is_switch("--check")) {
             check = true;
-        } else if (arg == "--json") {
-            json_path = value("--json");
+        } else if (args.is("--json")) {
+            json_path = args.text();
         } else {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--instructions N] "
@@ -268,10 +264,6 @@ int main(int argc, char** argv) {
     const workload_profile* profile = find_profile(workload);
     if (profile == nullptr) {
         std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
-        return 2;
-    }
-    if (instructions == 0 || repeat == 0) {
-        std::fprintf(stderr, "nothing to run\n");
         return 2;
     }
 

@@ -114,10 +114,7 @@ u64 soc_config_fingerprint(const soc_config& cfg) {
     h.u(static_cast<u64>(f.kind));
     h.u(f.freq_mhz);
     h.u(f.f2_packets_per_cycle);
-    h.u(f.f2_link_bits);
-    h.u(f.axi_bits);
     h.u(f.dc_buffer_depth);
-    h.u(f.node_queue_depth);
 
     h.u(cfg.num_little_cores);
     return h.h;

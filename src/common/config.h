@@ -137,10 +137,7 @@ struct fabric_config {
     fabric_kind kind = fabric_kind::f2;
     u64 freq_mhz = 1600;        // low-frequency domain (Fig. 2)
     u32 f2_packets_per_cycle = 2;
-    u32 f2_link_bits = 256;
-    u32 axi_bits = 128;
     u32 dc_buffer_depth = 16;   // per-FIFO depth of each commit path's DC-Buffer
-    u32 node_queue_depth = 8;   // per-NoC-node ingress/egress queue depth
 };
 
 struct soc_config {

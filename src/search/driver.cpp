@@ -4,10 +4,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <optional>
 
 #include "area/area_model.h"
+#include "common/atomic_file.h"
 #include "common/bits.h"
 #include "fault/campaign.h"
 #include "sched/placement.h"
@@ -89,42 +89,32 @@ double bits_double(u64 bits) {
     return d;
 }
 
-// Shard-file pattern as in fault::save_shard_checkpoint: temp file + rename,
-// doubles persisted as exact bit patterns so a loaded result is bit-identical
-// to the measuring shard's.
+// Shard-file pattern as in fault::save_shard_checkpoint: serialized in
+// memory, then written atomically (temp + rename); doubles persisted as exact
+// bit patterns so a loaded result is bit-identical to the measuring shard's.
 bool save_point_checkpoint(const std::string& path, std::size_t point_index,
                            u32 rung, u64 context, const point_result& r) {
-    std::error_code ec;
-    const std::filesystem::path target(path);
-    if (target.has_parent_path()) {
-        std::filesystem::create_directories(target.parent_path(), ec);
-        if (ec) return false;
-    }
-    const std::string tmp = path + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "w");
-    if (f == nullptr) return false;
-    bool ok =
-        std::fprintf(
-            f,
-            "meek-search-ckpt v1\n"
-            "point %zu rung %u context %" PRIx64 "\n"
-            "%s %d %d %d %" PRIx64 " %" PRIx64 " %" PRIx64 " %" PRIx64 " %" PRIu64
-            " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-            "\n",
-            point_index, rung, context, r.name.c_str(), static_cast<int>(r.system),
-            r.off_registry ? 1 : 0, r.skipped ? 1 : 0, double_bits(r.area_mm2),
-            double_bits(r.overhead), double_bits(r.slowdown),
-            double_bits(r.coverage), r.cycles, r.baseline_cycles, r.probe_detected,
-            r.probe_masked, r.stall_collecting, r.stall_forwarding,
-            r.stall_checker) > 0;
-    if (!r.error.empty()) ok = std::fprintf(f, "error %s\n", r.error.c_str()) > 0 && ok;
-    ok = std::fclose(f) == 0 && ok;
-    if (!ok) {
-        std::remove(tmp.c_str());
+    char head[128];
+    char tail[512];
+    const int h = std::snprintf(head, sizeof head,
+                                "meek-search-ckpt v1\n"
+                                "point %zu rung %u context %" PRIx64 "\n",
+                                point_index, rung, context);
+    const int t = std::snprintf(
+        tail, sizeof tail,
+        " %d %d %d %" PRIx64 " %" PRIx64 " %" PRIx64 " %" PRIx64 " %" PRIu64 " %" PRIu64
+        " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64 "\n",
+        static_cast<int>(r.system), r.off_registry ? 1 : 0, r.skipped ? 1 : 0,
+        double_bits(r.area_mm2), double_bits(r.overhead), double_bits(r.slowdown),
+        double_bits(r.coverage), r.cycles, r.baseline_cycles, r.probe_detected,
+        r.probe_masked, r.stall_collecting, r.stall_forwarding, r.stall_checker);
+    if (h <= 0 || static_cast<std::size_t>(h) >= sizeof head || t <= 0 ||
+        static_cast<std::size_t>(t) >= sizeof tail) {
         return false;
     }
-    std::filesystem::rename(tmp, target, ec);
-    return !ec;
+    std::string doc = head + r.name + tail;
+    if (!r.error.empty()) doc += "error " + r.error + "\n";
+    return write_file_atomic(path, doc);
 }
 
 std::optional<point_result> load_point_checkpoint(const std::string& path,

@@ -108,19 +108,6 @@ public:
     sched::pool_stats scheduler_stats() const { return pool_.stats(); }
     void reset_scheduler_stats() { pool_.reset_stats(); }
 
-    // Submit one job; the future holds the result or the job's exception.
-    // Placement is round-robin — single submissions carry no cost hint.
-    template <class Fn>
-    auto submit(Fn&& fn) -> std::future<std::invoke_result_t<std::decay_t<Fn>&>> {
-        using result_t = std::invoke_result_t<std::decay_t<Fn>&>;
-        auto task = std::make_shared<std::packaged_task<result_t()>>(
-            std::forward<Fn>(fn));
-        std::future<result_t> fut = task->get_future();
-        pool_.post(next_home_.fetch_add(1, std::memory_order_relaxed),
-                   [task] { (*task)(); });
-        return fut;
-    }
-
     // Submit one indexed job with a completion hook instead of a future: runs
     // `fn(ctx)` with ctx = {index, derive_stream_seed(base_seed, index)} and
     // then invokes `done(ctx, result, error)` ON THE WORKER THREAD — error is

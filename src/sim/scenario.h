@@ -40,6 +40,10 @@ struct scenario {
     soc_config soc() const;
 };
 
+// The largest little-core count a MEEK point may ask for: the bound on the
+// wire's inline `cores` knob and on meek_search's `--grid cores` axis.
+inline constexpr u32 max_little_cores = 64;
+
 // Canonical constructors; `name` follows the registry scheme above so that
 // find_scenario(meek_scenario(...).name) round-trips.
 scenario vanilla_scenario();

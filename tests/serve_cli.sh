@@ -1,5 +1,5 @@
 #!/bin/sh
-# Command-line contracts of meek_serve and meek_gateway, run as ctest cases:
+# Command-line contracts of the serving tools, run as ctest cases:
 #
 #   serve_cli.sh serve_golden   BIN_DIR DATA_DIR
 #   serve_cli.sh gateway_golden BIN_DIR DATA_DIR
@@ -9,7 +9,9 @@
 # for check: the rows must equal tests/data/serve_expected.ndjson byte for
 # byte at 1 and 4 threads (1 and 3 gateway workers), and the stderr summary
 # and stats JSON must carry the same values. flags pins the exit codes of bad
-# flag values and the fractional --line-rate both front-ends honour.
+# flag values and unknown flags across every tool and bench that reads flags
+# through the strict flag_reader, the fractional --line-rate both front-ends
+# honour, and meek_search's --workers=N dispatch.
 set -eu
 
 mode=$1
@@ -56,13 +58,14 @@ gateway_golden)
     done
     ;;
 flags)
-    # A malformed or out-of-range value exits 2 with a message, before any
-    # input is read.
+    # A malformed or out-of-range value, or an unknown flag, exits 2 with a
+    # message, before any input is read or any simulation starts.
     expect_usage() {
         code=0
         "$@" < /dev/null > out.txt 2> err.txt || code=$?
         [ "$code" -eq 2 ] || fail "exit $code, want 2: $*"
         [ -s err.txt ] || fail "no message: $*"
+        [ ! -s out.txt ] || fail "output before exit: $*"
     }
     expect_usage "$bin/meek_serve" --threads abc
     expect_usage "$bin/meek_serve" --threads=1x
@@ -75,6 +78,45 @@ flags)
     expect_usage "$bin/meek_gateway" --workers 1 --line-rate 0.5x
     expect_usage "$bin/meek_gateway" --workers 1 --threads 4k
     expect_usage "$bin/meek_gateway" --workers 1 --max-inflight 4
+    expect_usage "$bin/meek_search" --grid cores=0
+    expect_usage "$bin/meek_search" --grid cores=abc
+    expect_usage "$bin/meek_search" --grid cores=65
+    expect_usage "$bin/meek_search" --grid lsl=4k
+    expect_usage "$bin/meek_search" --grid depth=0
+    expect_usage "$bin/meek_search" --grid depth=8,,16
+    expect_usage "$bin/meek_search" --grid fabric=f2,noc
+    expect_usage "$bin/meek_search" --grid warp=2
+    expect_usage "$bin/meek_search" --shard 2/2
+    expect_usage "$bin/meek_search" --instructions=12k
+    expect_usage "$bin/meek_search" --keep 1.5
+    expect_usage "$bin/serve_bench" --load-gen --load-requests 3x
+    expect_usage "$bin/serve_bench" --load-gen --qps 20000x
+    expect_usage "$bin/serve_bench" --load-gen --qps 20000,0
+    expect_usage "$bin/serve_bench" --wall
+    expect_usage "$bin/serve_bench" --no-cache
+    expect_usage "$bin/sim_throughput" --repeat 2x
+    expect_usage "$bin/sim_throughput" --instructions 0
+    expect_usage "$bin/fig8_scalability" --threads abc
+    expect_usage "$bin/fig8_scalability" --qiuck
+    expect_usage "$bin/fig7_detection_latency" --quick=1
+    expect_usage "$bin/sched_bench" --workers 4,x
+    expect_usage "$bin/sched_bench" --task-ns -1
+
+    # --task-ns 0 (empty tasks) stays legal.
+    "$bin/sched_bench" --workers 1 --tasks 10 --task-ns 0 --repeat 1 > sched.txt \
+        || fail "sched_bench --task-ns 0"
+    grep -q 'task_ns=0 ' sched.txt || fail "sched_bench --task-ns 0 row"
+
+    # --workers=N dispatches like --workers N: the children must not see the
+    # flag in either form, or each would dispatch workers of its own.
+    search() {
+        "$bin/meek_search" --no-registry --grid lsl=2048,4096 --workload swaptions \
+            --instructions 3000 --probe-faults 2 --threads 1 "$@" 2> search.txt
+    }
+    search --workers 2 --checkpoint-dir ckpt_a > search_a.csv || fail "--workers 2"
+    search --workers=2 --checkpoint-dir ckpt_b > search_b.csv || fail "--workers=2"
+    [ "$(wc -l < search_a.csv)" -ge 2 ] || fail "empty search frontier"
+    cmp search_a.csv search_b.csv || fail "--workers=2 frontier differs from --workers 2"
 
     # 0.5 lines/s is a rate, not "off": past the 64-line burst, both
     # front-ends shed the rest of a 200-line batch.

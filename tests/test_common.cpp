@@ -1,5 +1,6 @@
 // Unit + property tests for the common substrate: bit utilities, RNG,
-// statistics, bounded FIFO, clock domains, and leveled logging.
+// statistics, bounded FIFO, clock domains, leveled logging, and strict
+// command-line parsing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 
 #include "common/atomic_file.h"
 #include "common/bits.h"
+#include "common/cli.h"
 #include "common/clock.h"
 #include "common/config.h"
 #include "common/fifo.h"
@@ -512,6 +514,66 @@ TEST(atomic_file, reports_failure_for_unwritable_destinations) {
     std::filesystem::create_directories(dir);
     EXPECT_FALSE(write_file_atomic(dir.string(), "contents"));
     std::filesystem::remove_all(dir);
+}
+
+TEST(cli, counts_and_lists_are_whole_numbers_in_range) {
+    u64 n = 0;
+    EXPECT_TRUE(parse_count("0", 0, 10, &n));
+    EXPECT_EQ(n, 0u);
+    for (const char* bad :
+         {"", "-1", "+1", " 1", "1x", "0x10", "11", "99999999999999999999"}) {
+        EXPECT_FALSE(parse_count(bad, 0, 10, &n)) << bad;
+    }
+    std::vector<u64> list;
+    EXPECT_TRUE(parse_count_list("1,4,16", 1, 64, &list));
+    EXPECT_EQ(list, (std::vector<u64>{1, 4, 16}));
+    for (const char* bad : {"", ",", "4,", ",4", "4,,8", "4,x", "0,4", "4,65"}) {
+        EXPECT_FALSE(parse_count_list(bad, 1, 64, &list)) << bad;
+    }
+    std::vector<std::string> items;
+    EXPECT_TRUE(split_list("f2,axi", &items));
+    EXPECT_EQ(items, (std::vector<std::string>{"f2", "axi"}));
+    EXPECT_FALSE(split_list("f2,", &items));
+}
+
+TEST(cli, flag_reader_takes_both_value_forms_and_switches) {
+    const char* args[] = {"tool",      "--threads", "4",     "--qps=1,2", "--quick",
+                          "--name=a=b", "--quick=1", nullptr};
+    flag_reader r(7, const_cast<char**>(args));
+    ASSERT_TRUE(r.next());
+    ASSERT_TRUE(r.is("--threads"));
+    EXPECT_EQ(r.count(0, 1024), 4u);
+    ASSERT_TRUE(r.next());
+    ASSERT_TRUE(r.is("--qps"));
+    EXPECT_EQ(r.count_list(1), (std::vector<u64>{1, 2}));
+    ASSERT_TRUE(r.next());
+    EXPECT_TRUE(r.is_switch("--quick"));
+    ASSERT_TRUE(r.next());
+    ASSERT_TRUE(r.is("--name"));
+    EXPECT_EQ(r.text(), "a=b");
+    ASSERT_TRUE(r.next());
+    EXPECT_FALSE(r.is_switch("--quick"));  // a switch takes no value
+    EXPECT_FALSE(r.next());
+}
+
+TEST(cli, flag_reader_exits_2_on_a_bad_value) {
+    const char* args[] = {"tool", "--workers", "4,x", "--repeat", nullptr};
+    EXPECT_EXIT(
+        {
+            flag_reader r(3, const_cast<char**>(args));
+            r.next();
+            r.count_list(1, 1024);
+        },
+        ::testing::ExitedWithCode(2), "--workers: '4,x' is not a comma-separated list");
+    EXPECT_EXIT(
+        {
+            flag_reader r(4, const_cast<char**>(args));
+            r.next();
+            r.text();
+            r.next();
+            r.count(1);
+        },
+        ::testing::ExitedWithCode(2), "--repeat requires a value");
 }
 
 }  // namespace

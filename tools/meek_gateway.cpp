@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     std::string worker_cmd = sibling_meek_serve(argv[0]);
     std::vector<std::string> worker_extra_args;
 
-    tools::flag_reader args(argc, argv);
+    flag_reader args(argc, argv);
     while (args.next()) {
         if (flags.take(args)) continue;
         if (args.is("--workers")) {

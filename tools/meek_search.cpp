@@ -37,12 +37,17 @@
 //   --grid freq=1600,2000 checker clock (MHz)
 // With no --grid flags the default sweep applies (lsl x depth x freq around
 // the Table II point); --no-registry restricts the universe to grid points.
+// cores takes 1..64 (the wire's inline-knob bound), lsl and depth are >= 1,
+// and unroll/freq 0 means the tuning default.
+//
+// A value flag also takes the --flag=VALUE form. A malformed or out-of-range
+// value exits 2 with a message; an unknown flag prints usage and exits 2.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "search/dispatch.h"
 #include "search/driver.h"
 #include "serve/outcome_cache.h"
@@ -52,6 +57,8 @@
 using namespace meek;
 
 namespace {
+
+constexpr u64 u32_max = std::numeric_limits<u32>::max();
 
 int usage(const char* argv0) {
     std::fprintf(
@@ -67,59 +74,54 @@ int usage(const char* argv0) {
     return 2;
 }
 
-std::vector<std::string> split_csv(const std::string& csv) {
-    std::vector<std::string> values;
-    std::size_t pos = 0;
-    while (pos < csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos) comma = csv.size();
-        values.push_back(csv.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return values;
-}
-
-bool apply_grid_axis(search::parameter_grid& grid, const std::string& spec) {
+// Append one --grid KEY=V1,V2,... axis to `grid`; a malformed axis or value
+// exits 2 with a message.
+void apply_grid_axis(flag_reader& args, search::parameter_grid& grid) {
+    const std::string spec = args.text();
     const std::size_t eq = spec.find('=');
-    if (eq == std::string::npos) return false;
     const std::string key = spec.substr(0, eq);
-    const std::vector<std::string> values = split_csv(spec.substr(eq + 1));
-    if (values.empty()) return false;  // "--grid fabric=" must not be a no-op
-    for (const std::string& v : values) {
-        if (key == "fabric") {
-            if (v == "f2") {
-                grid.fabrics.push_back(fabric_kind::f2);
-            } else if (v == "axi") {
-                grid.fabrics.push_back(fabric_kind::axi_interconnect);
-            } else {
-                return false;
-            }
-        } else if (key == "tuning") {
-            if (v == "opt") {
-                grid.tunings.push_back(little_core_tuning::optimized);
-            } else if (v == "def") {
-                grid.tunings.push_back(little_core_tuning::default_rocket);
-            } else {
-                return false;
-            }
-        } else {
-            const u64 n = std::strtoull(v.c_str(), nullptr, 10);
-            if (key == "cores") {
-                grid.little_cores.push_back(static_cast<u32>(n));
-            } else if (key == "lsl") {
-                grid.lsl_bytes.push_back(static_cast<u32>(n));
-            } else if (key == "depth") {
-                grid.dc_buffer_depths.push_back(static_cast<u32>(n));
-            } else if (key == "unroll") {
-                grid.div_unrolls.push_back(static_cast<u32>(n));
-            } else if (key == "freq") {
-                grid.checker_freq_mhz.push_back(n);
-            } else {
-                return false;
-            }
+    const std::string list = eq == std::string::npos ? "" : spec.substr(eq + 1);
+    auto numbers = [&](auto& axis, u64 min, u64 max) {
+        std::vector<u64> values;
+        if (!parse_count_list(list, min, max, &values)) {
+            args.fail(spec, key + "=N,N,... with each N a whole number in [" +
+                                std::to_string(min) + ", " + std::to_string(max) + "]");
         }
+        axis.insert(axis.end(), values.begin(), values.end());
+    };
+    auto names = [&](const char* want) {
+        std::vector<std::string> values;
+        if (!split_list(list, &values)) args.fail(spec, want);
+        return values;
+    };
+    if (key == "cores") {
+        numbers(grid.little_cores, 1, sim::max_little_cores);
+    } else if (key == "lsl") {
+        numbers(grid.lsl_bytes, 1, u32_max);
+    } else if (key == "depth") {
+        numbers(grid.dc_buffer_depths, 1, u32_max);
+    } else if (key == "unroll") {  // 0: the tuning default
+        numbers(grid.div_unrolls, 0, u32_max);
+    } else if (key == "freq") {  // 0: the tuning default
+        numbers(grid.checker_freq_mhz, 0, std::numeric_limits<u64>::max());
+    } else if (key == "fabric") {
+        const char* want = "fabric=F,F,... with each F f2 or axi";
+        for (const std::string& v : names(want)) {
+            if (v != "f2" && v != "axi") args.fail(spec, want);
+            grid.fabrics.push_back(v == "f2" ? fabric_kind::f2
+                                             : fabric_kind::axi_interconnect);
+        }
+    } else if (key == "tuning") {
+        const char* want = "tuning=T,T,... with each T opt or def";
+        for (const std::string& v : names(want)) {
+            if (v != "opt" && v != "def") args.fail(spec, want);
+            grid.tunings.push_back(v == "opt" ? little_core_tuning::optimized
+                                              : little_core_tuning::default_rocket);
+        }
+    } else {
+        args.fail(spec, "KEY=V1,V2,... with KEY one of cores, fabric, tuning, lsl, "
+                        "depth, unroll, freq");
     }
-    return true;
 }
 
 }  // namespace
@@ -135,76 +137,62 @@ int main(int argc, char** argv) {
     u32 workers = 0;
     u32 threads = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&](const char* flag) -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--workload") {
-            opts.workload = next_value("--workload");
-        } else if (arg == "--instructions") {
-            opts.instructions = std::strtoull(next_value("--instructions"), nullptr, 10);
-        } else if (arg == "--seed") {
-            opts.seed = std::strtoull(next_value("--seed"), nullptr, 10);
-        } else if (arg == "--strategy") {
-            const auto kind = search::parse_strategy(next_value("--strategy"));
-            if (!kind) return usage(argv[0]);
+    flag_reader args(argc, argv);
+    while (args.next()) {
+        if (args.is("--workload")) {
+            opts.workload = args.text();
+        } else if (args.is("--instructions")) {
+            opts.instructions = args.count(1);
+        } else if (args.is("--seed")) {
+            opts.seed = args.count(0);
+        } else if (args.is("--strategy")) {
+            const std::string v = args.text();
+            const auto kind = search::parse_strategy(v);
+            if (!kind) args.fail(v, "exhaustive, random or halving");
             opts.strategy = *kind;
-        } else if (arg == "--samples") {
-            opts.sample_count = std::strtoull(next_value("--samples"), nullptr, 10);
-        } else if (arg == "--sample-seed") {
-            opts.sample_seed = std::strtoull(next_value("--sample-seed"), nullptr, 10);
-        } else if (arg == "--keep") {
-            opts.halving_keep = std::strtod(next_value("--keep"), nullptr);
-        } else if (arg == "--budget-div") {
-            opts.halving_divisor = std::strtoull(next_value("--budget-div"), nullptr, 10);
-        } else if (arg == "--probe-faults") {
-            opts.probe.faults =
-                static_cast<u32>(std::strtoul(next_value("--probe-faults"), nullptr, 10));
-        } else if (arg == "--probe-seed") {
-            opts.probe.seed = std::strtoull(next_value("--probe-seed"), nullptr, 10);
-        } else if (arg == "--grid") {
-            if (!apply_grid_axis(grid, next_value("--grid"))) {
-                std::fprintf(stderr, "bad --grid axis (keys: cores, fabric, tuning, "
-                                     "lsl, depth, unroll, freq)\n");
-                return 2;
-            }
+        } else if (args.is("--samples")) {
+            opts.sample_count = args.count(1);
+        } else if (args.is("--sample-seed")) {
+            opts.sample_seed = args.count(0);
+        } else if (args.is("--keep")) {
+            opts.halving_keep = args.real(0.0, 1.0);
+        } else if (args.is("--budget-div")) {
+            opts.halving_divisor = args.count(2);
+        } else if (args.is("--probe-faults")) {
+            opts.probe.faults = static_cast<u32>(args.count(0, u32_max));
+        } else if (args.is("--probe-seed")) {
+            opts.probe.seed = args.count(0);
+        } else if (args.is("--grid")) {
+            apply_grid_axis(args, grid);
             grid_given = true;
-        } else if (arg == "--no-registry") {
+        } else if (args.is_switch("--no-registry")) {
             include_registry = false;
-        } else if (arg == "--shard") {
-            const char* v = next_value("--shard");
-            char* end = nullptr;
-            opts.shard_index = static_cast<u32>(std::strtoul(v, &end, 10));
-            if (end == nullptr || *end != '/') return usage(argv[0]);
-            opts.shard_count = static_cast<u32>(std::strtoul(end + 1, nullptr, 10));
-            if (opts.shard_count == 0 || opts.shard_index >= opts.shard_count) {
-                std::fprintf(stderr, "--shard wants K/N with K < N\n");
-                return 2;
+        } else if (args.is("--shard")) {
+            const std::string v = args.text();
+            const std::size_t slash = v.find('/');
+            u64 k = 0;
+            u64 n = 0;
+            if (slash == std::string::npos ||
+                !parse_count(v.substr(slash + 1), 1, u32_max, &n) ||
+                !parse_count(v.substr(0, slash), 0, n - 1, &k)) {
+                args.fail(v, "K/N with K < N");
             }
+            opts.shard_index = static_cast<u32>(k);
+            opts.shard_count = static_cast<u32>(n);
             shard_given = true;
-        } else if (arg == "--workers") {
-            workers = static_cast<u32>(std::strtoul(next_value("--workers"), nullptr, 10));
-        } else if (arg == "--checkpoint-dir") {
-            opts.checkpoint_dir = next_value("--checkpoint-dir");
-        } else if (arg == "--resume") {
+        } else if (args.is("--workers")) {
+            workers = static_cast<u32>(args.count(0, 1024));
+        } else if (args.is("--checkpoint-dir")) {
+            opts.checkpoint_dir = args.text();
+        } else if (args.is_switch("--resume")) {
             opts.resume = true;
-        } else if (arg == "--threads") {
-            threads = static_cast<u32>(std::strtoul(next_value("--threads"), nullptr, 10));
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            threads = static_cast<u32>(std::strtoul(arg.c_str() + 10, nullptr, 10));
-        } else if (arg == "--format") {
-            const std::string v = next_value("--format");
-            if (v == "ndjson") {
-                ndjson = true;
-            } else if (v != "csv") {
-                return usage(argv[0]);
-            }
-        } else if (arg == "--all") {
+        } else if (args.is("--threads")) {
+            threads = static_cast<u32>(args.count(0, 1024));
+        } else if (args.is("--format")) {
+            const std::string v = args.text();
+            if (v != "csv" && v != "ndjson") args.fail(v, "csv or ndjson");
+            ndjson = v == "ndjson";
+        } else if (args.is_switch("--all")) {
             frontier_only = false;
         } else {
             return usage(argv[0]);
@@ -231,16 +219,17 @@ int main(int argc, char** argv) {
 
     if (workers > 1) {
         // Re-issue this exact invocation as one child per shard (minus the
-        // --workers flag), wait, then fall through and merge: with every
-        // checkpoint present the search below simulates nothing.
+        // --workers flag, in either form), wait, then fall through and merge:
+        // with every checkpoint present the search below simulates nothing.
         search::shard_dispatch_options dispatch;
         dispatch.shard_count = workers;
         for (int i = 0; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--workers") == 0) {
+            const std::string arg = argv[i];
+            if (arg == "--workers") {
                 ++i;  // skip the value too
-                continue;
+            } else if (arg.rfind("--workers=", 0) != 0) {
+                dispatch.argv_base.push_back(arg);
             }
-            dispatch.argv_base.emplace_back(argv[i]);
         }
         std::fprintf(stderr, "# dispatching %u shard worker(s)\n", workers);
         const search::shard_dispatch_result spawned = search::dispatch_shards(dispatch);

@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     u64 max_connections = 0;
     u32 accept_threads = 4;
 
-    tools::flag_reader args(argc, argv);
+    flag_reader args(argc, argv);
     while (args.next()) {
         if (flags.take(args)) continue;
         if (args.is("--listen")) {

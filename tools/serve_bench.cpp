@@ -11,26 +11,23 @@
 // Options:
 //   --requests N       total requests in the batch (default 100)
 //   --instructions N   dynamic length per evaluation (default 20000)
-//   --threads N        worker threads (default: MEEK_THREADS / hardware)
-//   --no-cache         disable the workload cache (capacity 0) for A/B runs
+//   --threads N        worker threads, 0..1024 (default 0: MEEK_THREADS /
+//                      hardware)
 //   --seed N           workload seed the batch shares (default 7); also
 //                      drives the load-gen arrival schedule
 //
-// Load-generator mode (open-loop QPS sweep over the same request mix):
+// Load-generator mode (open-loop QPS sweep over the same request mix, as a
+// virtual-time queue simulation over the deterministic per-template service
+// times, so its output is byte-identical run to run):
 //   --load-gen         run the sweep instead of the single-batch bench
 //   --qps A,B,...      arrival rates to sweep (default 1000)
 //   --load-requests N  arrivals per QPS point (default 200)
-//   --wall             dispatch arrivals in wall-clock time against the live
-//                      service (default: virtual-time queue simulation over
-//                      the deterministic per-template service times, whose
-//                      output is byte-identical run to run — the CI-pinnable
-//                      mode)
 //   --stats-json PATH  write the sweep's observability snapshot (per-QPS
 //                      latency histograms + the service's own stats) as one
 //                      meek.stats.v1 JSON line, atomically (temp + rename)
 //   --slo SPEC         evaluate SPEC (e.g. "p99<=250us,error_rate<=0.1%")
-//                      at every QPS point — in virtual mode over sliding
-//                      arrival-time windows of the latency stream, so a bad
+//                      at every QPS point over sliding arrival-time
+//                      windows of the latency stream, so a bad
 //                      tail window cannot hide behind a good start — print
 //                      one serve_bench_slo: report per point, attach the
 //                      worst point's verdict to --stats-json, and exit 1
@@ -39,34 +36,33 @@
 //                      as Chrome trace-event JSON after the run
 //   --trace-clock MODE trace timestamps: wall (default) or virtual
 //   --admission        overload sweeps: bound the load-gen queue so arrivals
-//                      past the cap are shed instead of served. In virtual
-//                      mode this is the deterministic open_loop_admission
-//                      queue-depth model; in wall mode it configures the
-//                      live service's admission controller (in-flight jobs)
-//                      and shed arrivals come back as overloaded rows.
-//                      Latency percentiles and --slo cover admitted
+//                      past the cap are shed instead of served (the
+//                      deterministic open_loop_admission queue-depth
+//                      model). Latency percentiles and --slo cover admitted
 //                      requests only — that is the point of shedding.
 //   --max-inflight N   the admission cap (default 64); implies --admission
 //
+// A value flag also takes the --flag=VALUE form. Numbers must be whole
+// decimal numbers in range (--requests, --instructions, --load-requests,
+// --max-inflight and every --qps value >= 1), or the tool exits 2; so does
+// an unknown flag.
+//
 // Each QPS point prints one line:
-//   serve_bench_lat: mode=<virtual|wall> qps=.. requests=.. servers=..
+//   serve_bench_lat: mode=virtual qps=.. requests=.. servers=..
 //                    completed=.. shed=.. p50_ns=.. p90_ns=.. p99_ns=..
 //                    p999_ns=.. mean_ns=.. max_ns=..
-// In virtual mode every field is an exact u64, so the whole line is stable
-// across runs at a fixed (seed, qps, requests, threads). `completed` counts
-// admitted-and-served arrivals; completed + shed == requests.
-#include <atomic>
+// Every field is an exact u64, so the whole line is stable across runs at a
+// fixed (seed, qps, requests, threads). `completed` counts admitted-and-served
+// arrivals; completed + shed == requests.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/atomic_file.h"
+#include "common/cli.h"
 #include "obs/loadgen.h"
 #include "obs/slo.h"
 #include "obs/stats_json.h"
@@ -84,7 +80,7 @@ constexpr u32 k_slo_windows = 8;
 
 int run_load_gen(serve::service& svc, const std::vector<std::string>& mix_lines,
                  const std::vector<u64>& qps_points, u64 load_requests, u64 seed,
-                 bool wall, u64 admission_queue,
+                 u64 admission_queue,
                  const std::string& stats_json_path, const obs::slo_spec* slo) {
     // Resolve every template once through the real wire path: the outcome's
     // cycle count (1 cycle == 1 ns) is the deterministic service time the
@@ -114,63 +110,19 @@ int run_load_gen(serve::service& svc, const std::vector<std::string>& mix_lines,
                                                .jitter = true};
         const std::vector<obs::arrival> arrivals = obs::build_arrival_schedule(cfg);
 
-        obs::log_histogram lat;
-        std::vector<obs::log_histogram> windows;
-        u64 completed = 0;
-        u64 shed = 0;
-        if (!wall) {
-            obs::open_loop_result res = obs::simulate_open_loop(
-                arrivals, service_ns, servers, slo != nullptr ? k_slo_windows : 0,
-                obs::open_loop_admission{.max_queue = admission_queue});
-            lat = std::move(res.latency_ns);
-            windows = std::move(res.window_latency);
-            completed = res.completed;
-            shed = res.shed;
-        } else {
-            // Open loop against the live service: each arrival fires at its
-            // scheduled offset regardless of completions (no coordinated
-            // omission), one dispatch thread per request. A shed arrival
-            // comes back as an in-slot overloaded row (the service's own
-            // admission controller decided) and stays out of the latency
-            // histogram, matching the virtual-time accounting.
-            obs::atomic_log_histogram wall_lat;
-            std::atomic<u64> wall_shed{0};
-            const auto t0 = std::chrono::steady_clock::now();
-            std::vector<std::thread> threads;
-            threads.reserve(arrivals.size());
-            for (const obs::arrival& a : arrivals) {
-                threads.emplace_back([&svc, &mix_lines, &wall_lat, &wall_shed, t0,
-                                      a] {
-                    const auto due = t0 + std::chrono::nanoseconds(a.arrival_ns);
-                    std::this_thread::sleep_until(due);
-                    const auto rows = svc.evaluate({mix_lines[a.mix_index]});
-                    const bool overloaded =
-                        !rows.empty() && rows.front().error == "overloaded";
-                    const auto d =
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - due);
-                    if (overloaded) {
-                        wall_shed.fetch_add(1, std::memory_order_relaxed);
-                    } else {
-                        wall_lat.record(d.count() > 0 ? static_cast<u64>(d.count())
-                                                      : 0);
-                    }
-                });
-            }
-            for (std::thread& t : threads) t.join();
-            lat = wall_lat.snapshot();
-            completed = lat.count();
-            shed = wall_shed.load(std::memory_order_relaxed);
-        }
+        const obs::open_loop_result res = obs::simulate_open_loop(
+            arrivals, service_ns, servers, slo != nullptr ? k_slo_windows : 0,
+            obs::open_loop_admission{.max_queue = admission_queue});
+        const obs::log_histogram& lat = res.latency_ns;
 
         std::printf(
-            "serve_bench_lat: mode=%s qps=%llu requests=%llu servers=%u "
+            "serve_bench_lat: mode=virtual qps=%llu requests=%llu servers=%u "
             "completed=%llu shed=%llu p50_ns=%llu p90_ns=%llu p99_ns=%llu "
             "p999_ns=%llu mean_ns=%llu max_ns=%llu\n",
-            wall ? "wall" : "virtual", static_cast<unsigned long long>(qps),
+            static_cast<unsigned long long>(qps),
             static_cast<unsigned long long>(load_requests), servers,
-            static_cast<unsigned long long>(completed),
-            static_cast<unsigned long long>(shed),
+            static_cast<unsigned long long>(res.completed),
+            static_cast<unsigned long long>(res.shed),
             static_cast<unsigned long long>(lat.p50()),
             static_cast<unsigned long long>(lat.p90()),
             static_cast<unsigned long long>(lat.p99()),
@@ -180,18 +132,13 @@ int run_load_gen(serve::service& svc, const std::vector<std::string>& mix_lines,
             static_cast<unsigned long long>(lat.count() ? lat.max() : 0));
         loadgen_snap.add_histogram("loadgen.q" + std::to_string(qps) + ".latency_ns",
                                    lat);
-        loadgen_snap.set_counter("loadgen.q" + std::to_string(qps) + ".shed", shed);
-        total_shed += shed;
+        loadgen_snap.set_counter("loadgen.q" + std::to_string(qps) + ".shed", res.shed);
+        total_shed += res.shed;
 
         if (slo != nullptr) {
-            // Virtual mode evaluates over the arrival-time windows (any bad
-            // window violates); wall mode has no deterministic windowing and
-            // treats the whole point as one window.
-            const obs::slo_report report =
-                windows.empty()
-                    ? obs::evaluate_slo(*slo, lat, /*errors=*/0, completed)
-                    : obs::evaluate_slo_windows(*slo, windows, /*errors=*/0,
-                                                completed);
+            // Any bad arrival-time window violates.
+            const obs::slo_report report = obs::evaluate_slo_windows(
+                *slo, res.window_latency, /*errors=*/0, res.completed);
             const std::string prefix =
                 "serve_bench_slo: qps=" + std::to_string(qps) + " ";
             std::fputs(obs::format_slo_report(report, prefix).c_str(), stdout);
@@ -248,97 +195,57 @@ int main(int argc, char** argv) {
     u64 instructions = 20'000;
     u64 seed = 7;
     serve::service_options opts;
-    bool use_cache = true;
     bool load_gen = false;
-    bool wall = false;
     bool admission = false;
-    u64 max_inflight = 0;  // 0 => default cap when --admission is set
+    u64 max_inflight = 64;
     u64 load_requests = 200;
-    std::vector<u64> qps_points;
+    std::vector<u64> qps_points = {1000};
     std::string stats_json_path;
     std::string trace_json_path;
     std::string slo_text;
     obs::trace_clock_mode trace_clock = obs::trace_clock_mode::wall;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char* flag) -> u64 {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", flag);
-                std::exit(2);
-            }
-            return std::strtoull(argv[++i], nullptr, 10);
-        };
-        auto next_string = [&](const char* flag) -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--requests") {
-            num_requests = value("--requests");
-        } else if (arg == "--instructions") {
-            instructions = value("--instructions");
-        } else if (arg == "--threads") {
-            opts.threads = static_cast<u32>(value("--threads"));
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            opts.threads = static_cast<u32>(std::strtoul(arg.c_str() + 10, nullptr, 10));
-        } else if (arg == "--seed") {
-            seed = value("--seed");
-        } else if (arg == "--no-cache") {
-            use_cache = false;
-        } else if (arg == "--load-gen") {
+    flag_reader args(argc, argv);
+    while (args.next()) {
+        if (args.is("--requests")) {
+            num_requests = args.count(1);
+        } else if (args.is("--instructions")) {
+            instructions = args.count(1);
+        } else if (args.is("--threads")) {
+            opts.threads = static_cast<u32>(args.count(0, 1024));
+        } else if (args.is("--seed")) {
+            seed = args.count(0);
+        } else if (args.is_switch("--load-gen")) {
             load_gen = true;
-        } else if (arg == "--wall") {
-            wall = true;
-        } else if (arg == "--admission") {
+        } else if (args.is_switch("--admission")) {
             admission = true;
-        } else if (arg == "--max-inflight") {
-            max_inflight = value("--max-inflight");
+        } else if (args.is("--max-inflight")) {
+            max_inflight = args.count(1);
             admission = true;
-        } else if (arg == "--load-requests") {
-            load_requests = value("--load-requests");
-        } else if (arg == "--qps") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--qps requires a value\n");
-                return 2;
-            }
-            const std::string list = argv[++i];
-            for (std::size_t pos = 0; pos < list.size();) {
-                const std::size_t comma = list.find(',', pos);
-                const std::string item =
-                    list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-                const u64 q = std::strtoull(item.c_str(), nullptr, 10);
-                if (q == 0) {
-                    std::fprintf(stderr, "bad --qps value '%s'\n", item.c_str());
-                    return 2;
-                }
-                qps_points.push_back(q);
-                if (comma == std::string::npos) break;
-                pos = comma + 1;
-            }
-        } else if (arg == "--stats-json") {
-            stats_json_path = next_string("--stats-json");
-        } else if (arg == "--trace-json") {
-            trace_json_path = next_string("--trace-json");
-        } else if (arg == "--trace-clock") {
-            const std::string mode = next_string("--trace-clock");
+        } else if (args.is("--load-requests")) {
+            load_requests = args.count(1);
+        } else if (args.is("--qps")) {
+            qps_points = args.count_list(1);
+        } else if (args.is("--stats-json")) {
+            stats_json_path = args.text();
+        } else if (args.is("--trace-json")) {
+            trace_json_path = args.text();
+        } else if (args.is("--trace-clock")) {
+            const std::string mode = args.text();
             if (mode == "wall") {
                 trace_clock = obs::trace_clock_mode::wall;
             } else if (mode == "virtual") {
                 trace_clock = obs::trace_clock_mode::virtual_;
             } else {
-                std::fprintf(stderr, "--trace-clock must be wall or virtual\n");
-                return 2;
+                args.fail(mode, "wall or virtual");
             }
-        } else if (arg == "--slo") {
-            slo_text = next_string("--slo");
+        } else if (args.is("--slo")) {
+            slo_text = args.text();
         } else {
             std::fprintf(stderr,
                          "usage: %s [--requests N] [--instructions N] [--threads N] "
-                         "[--seed N] [--no-cache] [--load-gen] [--qps A,B,...] "
-                         "[--load-requests N] [--wall] [--admission] "
+                         "[--seed N] [--load-gen] [--qps A,B,...] "
+                         "[--load-requests N] [--admission] "
                          "[--max-inflight N] [--stats-json PATH] "
                          "[--slo SPEC] [--trace-json PATH] "
                          "[--trace-clock wall|virtual]\n",
@@ -346,7 +253,6 @@ int main(int argc, char** argv) {
             return 2;
         }
     }
-    if (!use_cache) opts.cache_capacity = 0;
 
     obs::slo_spec slo;
     if (!slo_text.empty()) {
@@ -382,20 +288,10 @@ int main(int argc, char** argv) {
                 mix_lines.push_back(serve::to_json(req));
             }
         }
-        if (qps_points.empty()) qps_points.push_back(1000);
-        const u64 admission_queue = admission ? (max_inflight > 0 ? max_inflight : 64) : 0;
-        if (admission && wall) {
-            // Wall mode sheds in the live service itself: its admission
-            // controller caps executor in-flight jobs at the same limit the
-            // virtual-time model applies to its queue.
-            opts.admission.enabled = true;
-            opts.admission.max_inflight_jobs = admission_queue;
-        }
         serve::service svc(opts);
-        const int rc =
-            run_load_gen(svc, mix_lines, qps_points, load_requests, seed, wall,
-                         admission_queue, stats_json_path,
-                         slo_text.empty() ? nullptr : &slo);
+        const int rc = run_load_gen(svc, mix_lines, qps_points, load_requests, seed,
+                                    admission ? max_inflight : 0, stats_json_path,
+                                    slo_text.empty() ? nullptr : &slo);
         const int trace_rc = export_trace_json(trace_json_path);
         return rc != 0 ? rc : trace_rc;
     }

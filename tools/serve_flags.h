@@ -1,14 +1,14 @@
-// Command-line handling shared by meek_serve and meek_gateway: a strict flag
-// reader, the flags both front-ends take, and the session plumbing around
-// them (stdio serving, --stats-json / --trace-json export, the admission
-// summary line). A malformed or out-of-range value exits 2 with a message.
+// Command-line handling shared by meek_serve and meek_gateway: the flags both
+// front-ends take, read through the strict flag_reader (common/cli.h), and
+// the session plumbing around them (stdio serving, --stats-json /
+// --trace-json export, the admission summary line). A malformed or
+// out-of-range value exits 2 with a message.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 
 #include "common/atomic_file.h"
@@ -19,69 +19,6 @@
 #include "serve/batch_core.h"
 
 namespace meek::tools {
-
-// Walks argv one flag at a time. A value flag takes the next argument, or
-// the text after '=' in --flag=VALUE.
-class flag_reader {
-public:
-    flag_reader(int argc, char** argv) : argc_(argc), argv_(argv) {}
-
-    // Advance to the next argument; false once argv is exhausted.
-    bool next() {
-        if (++i_ >= argc_) return false;
-        const std::string arg = argv_[i_];
-        const std::size_t eq = arg.find('=');
-        inline_ = arg.rfind("--", 0) == 0 && eq != std::string::npos;
-        name_ = inline_ ? arg.substr(0, eq) : arg;
-        value_ = inline_ ? arg.substr(eq + 1) : std::string{};
-        return true;
-    }
-
-    // The current argument is `flag`, a switch (no value).
-    bool is_switch(const char* flag) const { return !inline_ && name_ == flag; }
-    // The current argument is `flag`, whose value text()/count()/real() read.
-    bool is(const char* flag) const { return name_ == flag; }
-
-    std::string text() {
-        if (inline_) return value_;
-        if (i_ + 1 >= argc_) die("requires a value");
-        return argv_[++i_];
-    }
-    u64 count(u64 min, u64 max = std::numeric_limits<u64>::max()) {
-        const std::string v = text();
-        u64 n = 0;
-        if (!parse_count(v, min, max, &n)) {
-            std::fprintf(stderr, "%s: '%s' is not a whole number in [%llu, %llu]\n",
-                         name_.c_str(), v.c_str(), static_cast<unsigned long long>(min),
-                         static_cast<unsigned long long>(max));
-            std::exit(2);
-        }
-        return n;
-    }
-    double real(double min, double max) {
-        const std::string v = text();
-        double x = 0.0;
-        if (!parse_real(v, min, max, &x)) {
-            std::fprintf(stderr, "%s: '%s' is not a number in [%g, %g]\n", name_.c_str(),
-                         v.c_str(), min, max);
-            std::exit(2);
-        }
-        return x;
-    }
-
-private:
-    [[noreturn]] void die(const char* what) const {
-        std::fprintf(stderr, "%s %s\n", name_.c_str(), what);
-        std::exit(2);
-    }
-
-    int argc_;
-    char** argv_;
-    int i_ = 0;
-    bool inline_ = false;
-    std::string name_;
-    std::string value_;
-};
 
 // The flags meek_serve and meek_gateway share.
 struct serve_flags {
@@ -132,8 +69,7 @@ struct serve_flags {
             } else if (mode == "virtual") {
                 trace_clock = obs::trace_clock_mode::virtual_;
             } else {
-                std::fprintf(stderr, "--trace-clock must be wall or virtual\n");
-                std::exit(2);
+                args.fail(mode, "wall or virtual");
             }
         } else if (args.is("--slo")) {
             slo_text = args.text();
